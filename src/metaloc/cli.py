@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, evaluation, meta
 from .autodiff import NumericError
 from .model import CheckpointError, load_params, save_params
-from .seeding import substream, substream_int
+from .seeding import substream_int
 from .tasks import (
     ChannelConfig,
     DataFormatError,
@@ -33,6 +33,10 @@ from .tasks import (
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+
+class UsageError(Exception):
+    """Flags that parse but form an invalid configuration."""
 
 
 def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs: list) -> None:
@@ -66,7 +70,10 @@ def _meta_config(args) -> meta.MetaConfig:
             overrides[name] = value
     if getattr(args, "k", None) is not None:
         overrides["shots"] = args.k
-    return dataclasses.replace(cfg, **overrides)
+    try:
+        return dataclasses.replace(cfg, **overrides)
+    except ValueError as e:
+        raise UsageError(str(e))
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -181,7 +188,7 @@ def cmd_train(args) -> int:
         others = [s for s in scenarios if s.id != target.id]
         if not others:
             raise DataFormatError("transfer needs at least 2 scenarios")
-        source = others[int(substream(cfg.seed, "transfer-source").integers(len(others)))]
+        source = meta.pick_transfer_source(others, cfg.seed)
         resolved.update({"target": target.id, "source": source.id})
         task = meta.build_task_data(target, cfg.shots, cfg.seed)
         params = meta.train_transfer(source, task, cfg)
@@ -250,7 +257,8 @@ def cmd_bench(args) -> int:
     algorithms = args.algos.split(",")
     shots = [int(s) for s in args.shots.split(",")]
     # the matrix and sweep experiments run at the first listed shot count
-    cfg = dataclasses.replace(_meta_config(args), shots=shots[0])
+    args.k = shots[0]
+    cfg = _meta_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -414,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-scenarios", dest="test_scenarios", type=int, default=5)
     p.add_argument("--matrix-scenarios", dest="matrix_scenarios", type=int, default=10)
     p.add_argument("--counts", default=None, help="task-count sweep, e.g. 5,10,15")
-    p.add_argument("--k", type=int, default=None, help=argparse.SUPPRESS)
     _add_config_flags(p)
     p.set_defaults(fn=cmd_bench)
 
@@ -426,6 +433,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as e:
+        parser.error(str(e))
     except DataFormatError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -15,7 +15,6 @@ partitions and identical k-shot support sets.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import meta
 from .meta import MetaConfig, adapt_and_eval, build_task_data, meta_train
-from .model import init_params, predict_positions
+from .model import predict_positions
 from .seeding import substream, substream_int
 from .tasks import Scenario, batch_from, partition_tasks
 
@@ -33,7 +32,6 @@ __all__ = [
     "ALL_ALGORITHMS",
     "DEFAULT_THRESHOLDS_CM",
     "EvalReport",
-    "distance_error",
     "distances",
     "cdf",
     "cross_scenario_matrix",
@@ -47,13 +45,14 @@ ALL_ALGORITHMS = ("conventional", "transfer", "maml", "fomaml", "tb-maml")
 DEFAULT_THRESHOLDS_CM = tuple(float(t) for t in range(0, 310, 10))
 
 
-def distance_error(predicted, label) -> float:
-    """Euclidean distance in cm between a predicted and a true position."""
-    return float(math.dist(tuple(predicted), tuple(label)))
-
-
 def distances(predicted: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distances in cm between predicted and true positions."""
     return np.linalg.norm(np.asarray(predicted) - np.asarray(labels), axis=1)
+
+
+def _query_errors(params, task) -> np.ndarray:
+    """Distance errors (cm) of params on the task's query set, without adaptation."""
+    return distances(predict_positions(params, task.query[0]), task.query[1])
 
 
 def cdf(errors, thresholds) -> np.ndarray:
@@ -159,20 +158,13 @@ def _run_cells(fn, cells, workers: int):
 
 def _matrix_cell(args):
     scenarios, cfg, fine_tune_shots, i = args
-    base = init_params(substream_int(cfg.seed, "matrix-init", i))
-    base = meta.fit_params(
-        base, batch_from(scenarios[i].samples), cfg.baseline_epochs, cfg.baseline_lr
+    row = meta.cross_transfer(
+        substream_int(cfg.seed, "matrix-init", i), batch_from(scenarios[i].samples),
+        [build_task_data(s, cfg.shots, cfg.seed) for s in scenarios],
+        cfg.baseline_epochs, cfg.finetune_epochs if fine_tune_shots else 0, cfg.baseline_lr,
+        lambda tuned, task: float(np.mean(_query_errors(tuned, task))),
     )
-    row = np.zeros(len(scenarios))
-    for j, scenario in enumerate(scenarios):
-        task = build_task_data(scenario, cfg.shots, cfg.seed)
-        if fine_tune_shots:
-            tuned = meta.fit_params(base, task.support, cfg.finetune_epochs, cfg.baseline_lr)
-        else:
-            tuned = base
-        preds = predict_positions(tuned, task.query[0])
-        row[j] = float(np.mean(distances(preds, task.query[1])))
-    return row
+    return np.array(row)
 
 
 def cross_scenario_matrix(
@@ -202,10 +194,6 @@ def cross_scenario_matrix(
 # experiment 2: few-shot benchmark across algorithms
 
 
-def _eval_on_tests(params, test_tasks, cfg) -> list:
-    return [(t.scenario_id, adapt_and_eval(params, t, cfg)) for t in test_tasks]
-
-
 def _benchmark_cell(args):
     """One (repeat, algorithm, shots) cell; returns report entries."""
     scenarios, algorithm, shots, repeat, cfg, test_count = args
@@ -214,29 +202,20 @@ def _benchmark_cell(args):
     task_set = partition_tasks(scenarios, test_count, substream_int(repeat_seed, "partition"))
     test_tasks = [build_task_data(s, shots, repeat_seed) for s in task_set.test_scenarios()]
 
-    results = []
     if algorithm in meta.META_ALGORITHMS:
         params = meta_train(algorithm, task_set, run_cfg)
-        results = _eval_on_tests(params, test_tasks, run_cfg)
+        results = [(t.scenario_id, adapt_and_eval(params, t, run_cfg)) for t in test_tasks]
     elif algorithm == "conventional":
-        for task in test_tasks:
-            params = meta.train_conventional(task, run_cfg)
-            preds = predict_positions(params, task.query[0])
-            results.append((task.scenario_id, distances(preds, task.query[1])))
+        results = [
+            (t.scenario_id, _query_errors(meta.train_conventional(t, run_cfg), t)) for t in test_tasks
+        ]
     elif algorithm == "transfer":
-        train_scenarios = task_set.train_scenarios()
-        pick = int(substream(repeat_seed, "transfer-source").integers(len(train_scenarios)))
-        source = train_scenarios[pick]
-        params = init_params(substream_int(repeat_seed, "init"))
-        params = meta.fit_params(
-            params, batch_from(source.samples), run_cfg.baseline_epochs, run_cfg.baseline_lr
+        source = meta.pick_transfer_source(task_set.train_scenarios(), repeat_seed)
+        results = meta.cross_transfer(
+            substream_int(repeat_seed, "init"), batch_from(source.samples), test_tasks,
+            run_cfg.baseline_epochs, run_cfg.finetune_epochs, run_cfg.baseline_lr,
+            lambda tuned, task: (task.scenario_id, _query_errors(tuned, task)),
         )
-        for task in test_tasks:
-            tuned = meta.fit_params(
-                params, task.support, run_cfg.finetune_epochs, run_cfg.baseline_lr
-            )
-            preds = predict_positions(tuned, task.query[0])
-            results.append((task.scenario_id, distances(preds, task.query[1])))
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALL_ALGORITHMS}")
     return [(algorithm, shots, repeat, sid, errs) for sid, errs in results]

@@ -1,19 +1,24 @@
 """Trainers: MAML, FOMAML, TB-MAML plus conventional and transfer baselines.
 
-All trainers share the same primitives: an inner adaptation (full-batch
-gradient descent on a task's support set) and an outer update of the
-initialization from query losses. MAML differentiates the query loss
-through the adaptation (second-order); FOMAML takes the query gradient at
-the adapted weights and applies it to the initialization unchanged;
-TB-MAML is per-task second-order MAML whose outer step size is biased by
-a per-task importance weight u in [-1, 1]:
+The meta-learners share one inner adaptation (full-batch gradient descent
+on a task's support set) and one outer update of the initialization, in
+meta_train: the meta-gradient of the post-adaptation query losses
+(_meta_gradients), rescaled per coordinate by Adam and scaled by a step
+size. The three algorithms differ in nothing else. MAML differentiates the
+query loss through the adaptation (second-order); FOMAML takes the query
+gradient at the adapted weights and applies it to the initialization
+unchanged; TB-MAML is per-task second-order MAML whose outer step size is
+biased by a per-task importance weight u in [-1, 1]:
 
     step_j = max(step_floor, beta + gamma * u_j)
 
-The importance vector is computed once, up front: train a model per task,
-measure how well each transfers to every other task's few-shot split,
-min-max the per-task average losses to [-1, 1] and negate (low transfer
-loss means high importance).
+The baselines and the importance vector share one cross-transfer
+primitive, cross_transfer: fit a fresh model on a source batch, fine-tune
+a copy on each target's support, and score it. The importance vector is
+computed once, up front: train a model per task, measure how well each
+transfers to every other task's few-shot split, min-max the per-task
+average losses to [-1, 1] and negate (low transfer loss means high
+importance).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from .autodiff import Tensor, grad, no_grad
 from .model import ParamSet, init_params, loss as model_loss, predict_positions
 from .seeding import substream, substream_int
-from .tasks import Scenario, TaskSplit, TaskSet, batch_from, split_task
+from .tasks import Scenario, TaskSet, batch_from, split_task
 
 logger = logging.getLogger(__name__)
 
@@ -35,13 +40,12 @@ __all__ = [
     "MetaConfig",
     "ImportanceVector",
     "TaskData",
-    "task_data_from_split",
     "build_task_data",
     "inner_adapt",
+    "Adam",
     "fit_params",
-    "maml_step",
-    "fomaml_step",
-    "tb_maml_step",
+    "cross_transfer",
+    "pick_transfer_source",
     "importance_from_losses",
     "compute_importance",
     "meta_train",
@@ -74,7 +78,6 @@ class MetaConfig:
     meta_batch_size: int = 4
     step_floor: float = 1e-6
     seed: int = 0
-    meta_grad_clip: float = 100.0
     importance_epochs: int = 300
     baseline_epochs: int = 500
     baseline_lr: float = 0.03
@@ -98,8 +101,6 @@ class MetaConfig:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
         if self.meta_batch_size < 1:
             raise ValueError(f"meta_batch_size must be >= 1, got {self.meta_batch_size}")
-        if self.meta_grad_clip < 0:
-            raise ValueError(f"meta_grad_clip must be >= 0, got {self.meta_grad_clip}")
 
 
 @dataclass
@@ -129,7 +130,13 @@ class TaskData:
     shots: int
 
 
-def task_data_from_split(scenario: Scenario, split: TaskSplit) -> TaskData:
+def build_task_data(scenario: Scenario, shots: int, seed: int) -> TaskData:
+    """Split a scenario with a seed derived from (seed, scenario id, shots).
+
+    The derivation ignores everything else about the run, so any two
+    trainers handed the same seed see identical support/query sets.
+    """
+    split = split_task(scenario, shots, substream_int(seed, "split", scenario.id, shots))
     support = batch_from(split.support) if split.support else (np.zeros((0, 3, 30)), np.zeros((0, 2)))
     return TaskData(
         scenario_id=scenario.id,
@@ -137,16 +144,6 @@ def task_data_from_split(scenario: Scenario, split: TaskSplit) -> TaskData:
         query=batch_from(split.query),
         shots=split.shots,
     )
-
-
-def build_task_data(scenario: Scenario, shots: int, seed: int) -> TaskData:
-    """Split a scenario with a seed derived from (seed, scenario id, shots).
-
-    The derivation ignores everything else about the run, so any two
-    trainers handed the same seed see identical support/query sets.
-    """
-    split_seed = substream_int(seed, "split", scenario.id, shots)
-    return task_data_from_split(scenario, split_task(scenario, shots, split_seed))
 
 
 def _default_loss(params: ParamSet, batch) -> Tensor:
@@ -175,56 +172,79 @@ def inner_adapt(
     return current
 
 
-def fit_params(
-    params: ParamSet,
-    batch,
-    epochs: int,
-    lr: float,
-    loss_fn: Callable = _default_loss,
-) -> ParamSet:
+class Adam:
+    """Full-batch Adam, the one optimizer of every training phase.
+
+    fit_params runs it at a learning rate for the baseline, transfer-source
+    and importance fits. meta_train runs it as the outer step: it rescales
+    the meta-gradient per coordinate and applies the algorithm's step size,
+    beta or beta + gamma*u for the importance-biased trainer. A plain outer
+    rule cannot cross the cm^2 loss surface: gradient magnitudes differ by
+    4+ orders between the head and the conv stack, so any single step size
+    either freezes the features or explodes the head. The step size scales
+    the rescaled direction linearly, so the per-task step modulation and the
+    identities between the trainers hold on this step as on the plain rule.
+    """
+
+    def __init__(self, params: ParamSet, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
+        self.m = [np.zeros_like(t.data) for t in params.tensors()]
+        self.v = [np.zeros_like(t.data) for t in params.tensors()]
+        self.t = 0
+        self.b1, self.b2, self.eps = b1, b2, eps
+
+    def step(self, params: ParamSet, grads, lr: float) -> ParamSet:
+        """New leaf parameters after one step; aborts on non-finite values."""
+        self.t += 1
+        directions = []
+        for i, g in enumerate(grads):
+            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g.data
+            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g.data**2
+            m_hat = self.m[i] / (1 - self.b1**self.t)
+            v_hat = self.v[i] / (1 - self.b2**self.t)
+            directions.append(Tensor(m_hat / (np.sqrt(v_hat) + self.eps)))
+        return params.updated(directions, lr, graph=False)
+
+
+def fit_params(params: ParamSet, batch, epochs: int, lr: float) -> ParamSet:
     """Full-batch Adam fit, for the non-meta training phases.
 
     The adaptation path must stay plain gradient descent (its update rule
     is part of the meta-objective), but baseline/source/importance-phase
     training just needs to fit a scenario; plain GD is hopeless on a
     cm^2-scale MSE surface, Adam is not. Deterministic: no minibatching.
+    An empty batch, like 0 epochs, returns params unchanged.
     """
-    if epochs <= 0:
+    if epochs <= 0 or len(batch[1]) == 0:
         return params
-    current = params.clone()
-    names = current.names()
-    m = {n: np.zeros_like(current[n].data) for n in names}
-    v = {n: np.zeros_like(current[n].data) for n in names}
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    for step in range(1, epochs + 1):
-        task_loss = loss_fn(current, batch)
-        grads = grad(task_loss, current.tensors())
-        for n, g in zip(names, grads):
-            m[n] = b1 * m[n] + (1 - b1) * g.data
-            v[n] = b2 * v[n] + (1 - b2) * g.data**2
-            m_hat = m[n] / (1 - b1**step)
-            v_hat = v[n] / (1 - b2**step)
-            current[n].data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    for n in names:
-        current[n].check_finite("baseline fit")
+    optimizer = Adam(params)
+    current = params
+    for _ in range(epochs):
+        # task_loss keeps this epoch's graph alive until the next forward pass:
+        # freed at once, malloc trims the heap top every epoch and the page
+        # faults on regrowth slow compute_importance by about a quarter
+        task_loss = model_loss(current, batch)
+        current = optimizer.step(current, grad(task_loss, current.tensors()), lr)
     return current
 
 
-def _clip_factor(grads, clip: float) -> float:
-    """Global-norm clip: scale factor in (0, 1] applied to the outer step.
+def cross_transfer(
+    init_seed: int, source, targets: Sequence[TaskData],
+    source_epochs: int, finetune_epochs: int, lr: float, score: Callable,
+) -> list:
+    """Fit a fresh model on a source batch, then per target fine-tune and score.
 
-    A survival guard for the raw cm^2 loss scale, where early meta-gradient
-    norms reach 1e4+ and a fixed step size explodes; once the gradient norm
-    drops below the threshold (always, at toy scale) the update is exactly
-    the plain rule. Identical for every trainer, so the reduction
-    identities between them are unaffected.
+    The model starts from init_params(init_seed) and is fit on the source
+    (X, Y) batch for source_epochs. For each target a copy is fine-tuned on
+    the target's support for finetune_epochs, and score(params, target) is
+    returned, in target order.
     """
-    if not clip:
-        return 1.0
-    norm = float(np.sqrt(sum(float((g.data**2).sum()) for g in grads)))
-    if norm <= clip:
-        return 1.0
-    return clip / norm
+    base = fit_params(init_params(init_seed), source, source_epochs, lr)
+    return [score(fit_params(base, t.support, finetune_epochs, lr), t) for t in targets]
+
+
+def pick_transfer_source(candidates: Sequence[Scenario], seed: int) -> Scenario:
+    """The transfer baseline's source scenario, drawn from the seed's own substream."""
+    return candidates[int(substream(seed, "transfer-source").integers(len(candidates)))]
 
 
 def _meta_gradients(
@@ -266,76 +286,6 @@ def _meta_gradients(
     return grads, query_losses
 
 
-def _apply_outer(
-    params: ParamSet,
-    tasks: Sequence[TaskData],
-    cfg: MetaConfig,
-    step_size: float,
-    second_order: bool,
-    loss_fn: Callable,
-):
-    """Plain outer rule: params minus step times (clipped) meta-gradient."""
-    grads, query_losses = _meta_gradients(params, tasks, cfg, second_order, loss_fn)
-    step = step_size * _clip_factor(grads, cfg.meta_grad_clip)
-    return params.updated(grads, step, graph=False), query_losses
-
-
-class _OuterAdam:
-    """Per-coordinate preconditioner for the meta-training loop.
-
-    The plain outer rule cannot cross the cm^2 loss surface: gradient
-    magnitudes differ by 4+ orders between the head and the conv stack, so
-    any single step size either freezes the features or explodes the head.
-    meta_train therefore rescales the meta-gradient per coordinate (Adam)
-    and applies the algorithm's step size - beta, or beta + gamma*u for the
-    importance-biased trainer - to the rescaled direction. The relative
-    per-task step modulation, and every identity between trainers, is
-    exactly as in the plain rule; the closed-form step ops above stay
-    un-preconditioned.
-    """
-
-    def __init__(self, params: ParamSet, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
-        self.m = [np.zeros_like(t.data) for t in params.tensors()]
-        self.v = [np.zeros_like(t.data) for t in params.tensors()]
-        self.t = 0
-        self.b1, self.b2, self.eps = b1, b2, eps
-
-    def direction(self, grads) -> list:
-        self.t += 1
-        out = []
-        for i, g in enumerate(grads):
-            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g.data
-            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g.data**2
-            m_hat = self.m[i] / (1 - self.b1**self.t)
-            v_hat = self.v[i] / (1 - self.b2**self.t)
-            out.append(Tensor(m_hat / (np.sqrt(v_hat) + self.eps)))
-        return out
-
-
-def maml_step(
-    params: ParamSet,
-    tasks: Sequence[TaskData],
-    cfg: MetaConfig,
-    loss_fn: Callable = _default_loss,
-):
-    """Second-order outer update over a task batch.
-
-    theta <- theta - beta * d/dtheta sum_i L_query_i(adapt(theta, support_i)),
-    with the derivative flowing through the adaptation.
-    """
-    return _apply_outer(params, tasks, cfg, cfg.beta, second_order=True, loss_fn=loss_fn)
-
-
-def fomaml_step(
-    params: ParamSet,
-    tasks: Sequence[TaskData],
-    cfg: MetaConfig,
-    loss_fn: Callable = _default_loss,
-):
-    """First-order variant: query gradients taken at the adapted weights."""
-    return _apply_outer(params, tasks, cfg, cfg.beta, second_order=False, loss_fn=loss_fn)
-
-
 def effective_step(cfg: MetaConfig, importance: float) -> float:
     step = cfg.beta + cfg.gamma * importance
     if step < cfg.step_floor:
@@ -344,20 +294,6 @@ def effective_step(cfg: MetaConfig, importance: float) -> float:
         )
         return cfg.step_floor
     return step
-
-
-def tb_maml_step(
-    params: ParamSet,
-    task: TaskData,
-    importance: float,
-    cfg: MetaConfig,
-    loss_fn: Callable = _default_loss,
-):
-    """Per-task second-order update with importance-biased outer step."""
-    return _apply_outer(
-        params, [task], cfg, effective_step(cfg, importance),
-        second_order=True, loss_fn=loss_fn,
-    )
 
 
 def importance_from_losses(average_losses) -> np.ndarray:
@@ -373,11 +309,7 @@ def importance_from_losses(average_losses) -> np.ndarray:
     return -(2.0 * (losses - lo) / (hi - lo) - 1.0)
 
 
-def compute_importance(
-    scenarios: Sequence[Scenario],
-    cfg: MetaConfig,
-    loss_fn: Callable = _default_loss,
-) -> ImportanceVector:
+def compute_importance(scenarios: Sequence[Scenario], cfg: MetaConfig) -> ImportanceVector:
     """Cross-transfer importance over the meta-training tasks.
 
     For each task i: train a fresh model on all of task i's samples for a
@@ -389,22 +321,19 @@ def compute_importance(
     if n < 2:
         raise ValueError(f"importance needs at least 2 training tasks, got {n}")
     splits = [build_task_data(s, cfg.shots, cfg.seed) for s in scenarios]
-    full_batches = [batch_from(s.samples) for s in scenarios]
+
+    def query_loss(params, task):
+        with no_grad():
+            return model_loss(params, task.query).item()
 
     matrix = np.full((n, n), np.nan)
     for i, scenario in enumerate(scenarios):
-        base = init_params(substream_int(cfg.seed, "importance-init", i))
-        base = fit_params(
-            base, full_batches[i], cfg.importance_epochs, cfg.baseline_lr, loss_fn=loss_fn
+        others = [j for j in range(n) if j != i]
+        matrix[i, others] = cross_transfer(
+            substream_int(cfg.seed, "importance-init", i), batch_from(scenario.samples),
+            [splits[j] for j in others], cfg.importance_epochs, cfg.inner_steps, cfg.baseline_lr,
+            query_loss,
         )
-        for j in range(n):
-            if j == i:
-                continue
-            tuned = fit_params(
-                base, splits[j].support, cfg.inner_steps, cfg.baseline_lr, loss_fn=loss_fn
-            )
-            with no_grad():
-                matrix[i, j] = loss_fn(tuned, splits[j].query).item()
     average = np.nanmean(matrix, axis=1)
     return ImportanceVector(
         values=importance_from_losses(average),
@@ -440,6 +369,11 @@ def meta_train(
     scenarios = _training_scenarios(task_set)
     if not scenarios:
         raise ValueError("meta_train: empty meta-training set")
+    if cfg.shots < 1:
+        raise ValueError(
+            f"meta_train needs shots >= 1: the inner adaptation fits each task's "
+            f"support set, which is empty at shots={cfg.shots}"
+        )
     tasks = [build_task_data(s, cfg.shots, cfg.seed) for s in scenarios]
 
     if algorithm == "tb-maml":
@@ -453,15 +387,14 @@ def meta_train(
 
     params = init_params(substream_int(cfg.seed, "init"))
     sampler = substream(cfg.seed, "sampling")
-    optimizer = _OuterAdam(params)
+    optimizer = Adam(params)
     second_order = algorithm != "fomaml"
     history: list = []
     window = cfg.convergence_window
 
     def outer_update(current, batch, step_size):
-        # no clip here: the preconditioner already bounds the direction
         grads, losses = _meta_gradients(current, batch, cfg, second_order, _default_loss)
-        return current.updated(optimizer.direction(grads), step_size, graph=False), losses
+        return optimizer.step(current, grads, step_size), losses
 
     for iteration in range(cfg.meta_iterations):
         idx = sampler.integers(0, len(tasks), size=cfg.meta_batch_size)
@@ -489,27 +422,18 @@ def meta_train(
     return params
 
 
-def train_conventional(task: TaskData, cfg: MetaConfig, epochs: Optional[int] = None) -> ParamSet:
+def train_conventional(task: TaskData, cfg: MetaConfig) -> ParamSet:
     """Fresh initialization trained only on the task's k-shot support."""
     params = init_params(substream_int(cfg.seed, "init"))
-    budget = cfg.baseline_epochs if epochs is None else epochs
-    if budget and task.support[0].shape[0]:
-        params = fit_params(params, task.support, budget, cfg.baseline_lr)
-    return params
+    return fit_params(params, task.support, cfg.baseline_epochs, cfg.baseline_lr)
 
 
-def train_transfer(
-    source: Scenario,
-    target: TaskData,
-    cfg: MetaConfig,
-    finetune_steps: Optional[int] = None,
-) -> ParamSet:
+def train_transfer(source: Scenario, target: TaskData, cfg: MetaConfig) -> ParamSet:
     """Train on all of one source scenario, then fine-tune on the target support."""
-    params = init_params(substream_int(cfg.seed, "init"))
-    params = fit_params(params, batch_from(source.samples), cfg.baseline_epochs, cfg.baseline_lr)
-    steps = cfg.finetune_epochs if finetune_steps is None else finetune_steps
-    if steps and target.support[0].shape[0]:
-        params = fit_params(params, target.support, steps, cfg.baseline_lr)
+    (params,) = cross_transfer(
+        substream_int(cfg.seed, "init"), batch_from(source.samples), [target],
+        cfg.baseline_epochs, cfg.finetune_epochs, cfg.baseline_lr, lambda tuned, _: tuned,
+    )
     return params
 
 

@@ -159,10 +159,6 @@ def validate_model_params(params: ParamSet) -> None:
             )
 
 
-def param_count(params: ParamSet) -> int:
-    return sum(t.size for t in params.tensors())
-
-
 def predict(params: ParamSet, x) -> Tensor:
     """Position estimates in cm for a (batch, 3, 30) stack of samples.
 

@@ -64,6 +64,14 @@ def test_unknown_algo_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_invalid_config_usage_error(tmp_path):
+    data = gen(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--algo", "maml", "--data", str(data), "--out", str(tmp_path / "o"),
+              "--beta", "0.001", "--gamma", "0.002"])
+    assert exc.value.code == 2
+
+
 def test_importance_command(tmp_path):
     data = gen(tmp_path, n=2)
     out = tmp_path / "importance.json"
@@ -77,6 +85,15 @@ def test_importance_command(tmp_path):
     assert sorted(u) in ([-1.0, 1.0], [0.0, 0.0])
     matrix = doc["loss_matrix"]
     assert len(matrix) == 2 and matrix[0][0] is None and matrix[0][1] is not None
+
+
+def test_importance_zero_shots(tmp_path):
+    data = gen(tmp_path)
+    out = tmp_path / "importance.json"
+    rc = main(["importance", "--data", str(data), "--k", "0", "--out", str(out)] + FAST_FLAGS)
+    assert rc == 0
+    matrix = json.loads(out.read_text())["loss_matrix"]
+    assert [len(row) for row in matrix] == [3, 3, 3]
 
 
 def test_importance_missing_dir_is_data_error(tmp_path):
@@ -102,6 +119,16 @@ def test_train_meta_writes_outputs(tmp_path):
     assert manifest["config"]["alpha"] == 0.001
     assert manifest["config"]["beta"] == 0.001
     assert manifest["config"]["gamma"] == 0.0005
+
+
+def test_train_meta_zero_shots_is_error(tmp_path, capsys):
+    data = gen(tmp_path)
+    rc = main(
+        ["train", "--algo", "fomaml", "--data", str(data), "--k", "0", "--out", str(tmp_path / "o")]
+        + FAST_FLAGS
+    )
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: meta_train needs shots >= 1")
 
 
 def test_train_tb_maml_computes_importance_when_missing(tmp_path):
@@ -176,6 +203,19 @@ def test_bench_emits_all_csvs(tmp_path):
     sweep_rows = (out / "sweep.csv").read_text().splitlines()
     assert sweep_rows[0] == "algorithm,task_count,mean_error_cm"
     assert len(sweep_rows) == 2  # one meta algorithm, one count
+
+
+def test_bench_transfer_zero_shots(tmp_path):
+    data = gen(tmp_path, n=4)
+    out = tmp_path / "bench"
+    rc = main(
+        ["bench", "--data", str(data), "--algos", "transfer", "--shots", "0",
+         "--repeats", "1", "--out", str(out), "--test-scenarios", "1",
+         "--matrix-scenarios", "2"] + FAST_FLAGS
+    )
+    assert rc == 0
+    # zero-shot: every sample of the one test scenario is query
+    assert len((out / "errors.csv").read_text().splitlines()) - 1 == 48
 
 
 def test_bench_deterministic_outputs(tmp_path):

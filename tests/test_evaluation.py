@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metaloc import evaluation, meta, tasks
-from metaloc.evaluation import EvalReport, benchmark, cdf, cross_scenario_matrix, distance_error
+from metaloc.evaluation import EvalReport, benchmark, cdf, cross_scenario_matrix, distances
 from metaloc.meta import MetaConfig
 
 
@@ -36,15 +36,13 @@ def quick_cfg(**kw):
 
 
 def test_distance_error_examples():
-    assert distance_error((0.0, 0.0), (3.0, 4.0)) == 5.0
-    assert distance_error((7.0, -2.0), (7.0, -2.0)) == 0.0
+    assert np.array_equal(distances([(0.0, 0.0), (7.0, -2.0)], [(3.0, 4.0), (7.0, -2.0)]), [5.0, 0.0])
 
 
 def test_distance_error_symmetry():
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        a, b = rng.uniform(-100, 100, 2), rng.uniform(-100, 100, 2)
-        assert distance_error(a, b) == pytest.approx(distance_error(b, a))
+    a, b = rng.uniform(-100, 100, (50, 2)), rng.uniform(-100, 100, (50, 2))
+    assert distances(a, b) == pytest.approx(distances(b, a))
 
 
 def test_cdf_counting_and_extremes():
@@ -172,6 +170,21 @@ def test_benchmark_maml_vs_tb_gamma_zero_identical_errors():
     ra = benchmark(scenarios, ["maml"], [1], repeats=1, cfg=cfg, test_count=1)
     rb = benchmark(scenarios, ["tb-maml"], [1], repeats=1, cfg=cfg, test_count=1)
     assert np.array_equal(ra.population("maml", 1), rb.population("tb-maml", 1))
+
+
+def test_results_independent_of_worker_count(monkeypatch):
+    scenarios = small_scenarios(4)
+    cfg = quick_cfg()
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("METALOC_THREADS", workers)
+        report = benchmark(scenarios, evaluation.ALL_ALGORITHMS, [1], repeats=1, cfg=cfg, test_count=1)
+        matrix = cross_scenario_matrix(scenarios[:2], cfg, fine_tune_shots=1)
+        runs.append((report.entries, matrix))
+    (entries_1, matrix_1), (entries_2, matrix_2) = runs
+    assert len(entries_1) == len(evaluation.ALL_ALGORITHMS)
+    assert entries_1 == entries_2
+    assert np.array_equal(matrix_1, matrix_2)
 
 
 # ---------------------------------------------------------------------------

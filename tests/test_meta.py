@@ -29,6 +29,19 @@ def toy_cfg(**kw):
     return MetaConfig(**defaults)
 
 
+def meta_grad(cfg, cs, second_order=True, at=0.0):
+    """The meta-gradient meta_train's outer step takes, on toy tasks."""
+    grads, _ = meta._meta_gradients(theta_at(at), [toy_task(c) for c in cs], cfg, second_order, toy_loss)
+    return grads[0].data[0]
+
+
+def outer_step(cfg, cs, step_size, at=0.0):
+    """meta_train's outer update (second order) from a fresh Adam, on toy tasks."""
+    p = theta_at(at)
+    grads, _ = meta._meta_gradients(p, [toy_task(c) for c in cs], cfg, True, toy_loss)
+    return meta.Adam(p).step(p, grads, step_size)
+
+
 # ---------------------------------------------------------------------------
 # config invariants
 
@@ -70,45 +83,31 @@ def test_adapt_closed_form_single_and_composed():
 
 
 def test_maml_closed_form_asymmetric():
-    cfg = toy_cfg()
-    p = theta_at(0.0)
-    new, _ = meta.maml_step(p, [toy_task(1.0), toy_task(0.0)], cfg, loss_fn=toy_loss)
-    applied = (p["theta"].data[0] - new["theta"].data[0]) / cfg.beta
-    assert applied == pytest.approx(-0.5, abs=1e-10)
+    assert meta_grad(toy_cfg(), [1.0, 0.0]) == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_fomaml_closed_form_asymmetric():
-    cfg = toy_cfg()
-    p = theta_at(0.0)
-    new, _ = meta.fomaml_step(p, [toy_task(1.0), toy_task(0.0)], cfg, loss_fn=toy_loss)
-    applied = (p["theta"].data[0] - new["theta"].data[0]) / cfg.beta
-    assert applied == pytest.approx(-1.0, abs=1e-10)
+    assert meta_grad(toy_cfg(), [1.0, 0.0], second_order=False) == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_symmetric_tasks_cancel():
-    cfg = toy_cfg()
-    for step in (meta.maml_step, meta.fomaml_step):
-        p = theta_at(0.0)
-        new, _ = step(p, [toy_task(1.0), toy_task(-1.0)], cfg, loss_fn=toy_loss)
-        assert new["theta"].data[0] == pytest.approx(0.0, abs=1e-12)
+    for second_order in (True, False):
+        assert meta_grad(toy_cfg(), [1.0, -1.0], second_order) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_beta_zero_equivalent_no_motion():
     # beta must be > 0 by config; emulate by comparing to machine-zero step
     cfg = toy_cfg(beta=1e-300)
-    p = theta_at(0.0)
-    new, _ = meta.maml_step(p, [toy_task(1.0)], cfg, loss_fn=toy_loss)
+    new = outer_step(cfg, [1.0], cfg.beta)
     assert new["theta"].data[0] == pytest.approx(0.0, abs=1e-250)
 
 
 def test_fomaml_equals_maml_when_inner_motionless():
     # alpha -> 0 (machine zero): no inner motion, no second-order term
     cfg = toy_cfg(alpha=1e-300, beta=0.5)
-    p = theta_at(0.3)
-    a, _ = meta.maml_step(p, [toy_task(1.0), toy_task(-2.0)], cfg, loss_fn=toy_loss)
-    p = theta_at(0.3)
-    b, _ = meta.fomaml_step(p, [toy_task(1.0), toy_task(-2.0)], cfg, loss_fn=toy_loss)
-    assert abs(a["theta"].data[0] - b["theta"].data[0]) <= 1e-12
+    a = meta_grad(cfg, [1.0, -2.0], at=0.3)
+    b = meta_grad(cfg, [1.0, -2.0], second_order=False, at=0.3)
+    assert abs(a - b) <= 1e-12
 
 
 def test_unrolled_meta_gradient_matches_finite_difference():
@@ -133,10 +132,7 @@ def test_unrolled_meta_gradient_matches_finite_difference():
 
     h = 1e-6
     fd = (unrolled(0.2 + h) - unrolled(0.2 - h)) / (2 * h)
-    p = theta_at(0.2)
-    new, _ = meta.maml_step(p, [toy_task(c) for c in cs], cfg, loss_fn=toy_loss)
-    applied = (p["theta"].data[0] - new["theta"].data[0]) / cfg.beta
-    assert applied == pytest.approx(fd, rel=1e-7)
+    assert meta_grad(cfg, cs, at=0.2) == pytest.approx(fd, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +141,8 @@ def test_unrolled_meta_gradient_matches_finite_difference():
 
 def test_tb_reduces_to_maml_at_gamma_zero():
     cfg = toy_cfg(beta=0.001, gamma=0.0)
-    p = theta_at(0.0)
-    a, _ = meta.maml_step(p, [toy_task(1.0)], cfg, loss_fn=toy_loss)
-    p = theta_at(0.0)
-    b, _ = meta.tb_maml_step(p, toy_task(1.0), 0.7, cfg, loss_fn=toy_loss)
+    a = outer_step(cfg, [1.0], cfg.beta)
+    b = outer_step(cfg, [1.0], meta.effective_step(cfg, 0.7))
     assert np.array_equal(a["theta"].data, b["theta"].data)  # bitwise
 
 
@@ -269,6 +263,11 @@ def test_meta_train_rejects_unknown_algorithm():
         meta.meta_train("reptile", small_scenarios(2), quick_cfg())
 
 
+def test_meta_train_rejects_zero_shots():
+    with pytest.raises(ValueError, match="shots >= 1"):
+        meta.meta_train("fomaml", small_scenarios(2), quick_cfg(shots=0))
+
+
 def test_tb_maml_equals_maml_gamma_zero_full_loop():
     scenarios = small_scenarios(3)
     cfg = quick_cfg(gamma=0.0, meta_iterations=5, meta_batch_size=1)
@@ -287,7 +286,7 @@ def test_conventional_zero_epochs_is_random_init():
     scenarios = small_scenarios(1)
     cfg = quick_cfg()
     task = meta.build_task_data(scenarios[0], 1, cfg.seed)
-    theta = meta.train_conventional(task, cfg, epochs=0)
+    theta = meta.train_conventional(task, dataclasses.replace(cfg, baseline_epochs=0))
     from metaloc.seeding import substream_int
 
     init = model.init_params(substream_int(cfg.seed, "init"))
@@ -299,7 +298,7 @@ def test_transfer_zero_finetune_is_source_model():
     scenarios = small_scenarios(2)
     cfg = quick_cfg()
     task = meta.build_task_data(scenarios[1], 1, cfg.seed)
-    tuned = meta.train_transfer(scenarios[0], task, cfg, finetune_steps=0)
+    tuned = meta.train_transfer(scenarios[0], task, dataclasses.replace(cfg, finetune_epochs=0))
     source_only = meta.fit_params(
         model.init_params(
             __import__("metaloc.seeding", fromlist=["substream_int"]).substream_int(
