@@ -178,22 +178,22 @@ def cmd_train(args) -> int:
                 outputs.append(imp_path)
                 resolved["importance_file"] = str(imp_path)
         params = meta.meta_train(args.algo, scenarios, cfg, importance=importance, trace=trace)
-    elif args.algo == "conventional":
+    else:  # a baseline: argparse restricts --algo to ALL_ALGORITHMS
+        n = len(scenarios)
+        if not 0 <= args.target < n:
+            raise UsageError(f"--target {args.target} is outside [0, {n}) for {n} scenarios")
         target = scenarios[args.target]
         resolved["target"] = target.id
         task = meta.build_task_data(target, cfg.shots, cfg.seed)
-        params = meta.train_conventional(task, cfg)
-    elif args.algo == "transfer":
-        target = scenarios[args.target]
-        others = [s for s in scenarios if s.id != target.id]
-        if not others:
-            raise DataFormatError("transfer needs at least 2 scenarios")
-        source = meta.pick_transfer_source(others, cfg.seed)
-        resolved.update({"target": target.id, "source": source.id})
-        task = meta.build_task_data(target, cfg.shots, cfg.seed)
-        params = meta.train_transfer(source, task, cfg)
-    else:  # unreachable: argparse restricts choices
-        raise ValueError(args.algo)
+        if args.algo == "conventional":
+            params = meta.train_conventional(task, cfg)
+        else:
+            others = [s for s in scenarios if s.id != target.id]
+            if not others:
+                raise DataFormatError("transfer needs at least 2 scenarios")
+            source = meta.pick_transfer_source(others, cfg.seed)
+            resolved["source"] = source.id
+            params = meta.train_transfer(source, task, cfg)
 
     ckpt = out / "checkpoint.json"
     save_params(params, ckpt)
@@ -254,8 +254,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     scenarios = load_scenario_dir(args.data)
-    algorithms = args.algos.split(",")
-    shots = [int(s) for s in args.shots.split(",")]
+    algorithms, shots = args.algos, args.shots
     # the matrix and sweep experiments run at the first listed shot count
     args.k = shots[0]
     cfg = _meta_config(args)
@@ -305,9 +304,8 @@ def cmd_bench(args) -> int:
     meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
     sweep_path = out / "sweep.csv"
     if meta_algos and args.counts:
-        counts = [int(c) for c in args.counts.split(",")]
         sweep = evaluation.task_count_sweep(
-            scenarios, meta_algos, counts, args.repeats, cfg, test_count=args.test_scenarios
+            scenarios, meta_algos, args.counts, args.repeats, cfg, test_count=args.test_scenarios
         )
         _write_csv(
             sweep_path,
@@ -352,6 +350,21 @@ def _positive_int(value: str) -> int:
     if n <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return n
+
+
+def _int_list(value: str) -> list:
+    try:
+        return [int(v) for v in value.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
+
+
+def _algorithm_list(value: str) -> list:
+    names = value.split(",")
+    unknown = [n for n in names if n not in evaluation.ALL_ALGORITHMS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown {unknown}; expected {evaluation.ALL_ALGORITHMS}")
+    return names
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -414,14 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the full benchmark suite")
     p.add_argument("--data", required=True)
-    p.add_argument("--algos", default=",".join(evaluation.ALL_ALGORITHMS))
-    p.add_argument("--shots", default="5,3")
+    p.add_argument("--algos", type=_algorithm_list, default=",".join(evaluation.ALL_ALGORITHMS))
+    p.add_argument("--shots", type=_int_list, default="5,3")
     p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--test-scenarios", dest="test_scenarios", type=int, default=5)
     p.add_argument("--matrix-scenarios", dest="matrix_scenarios", type=int, default=10)
-    p.add_argument("--counts", default=None, help="task-count sweep, e.g. 5,10,15")
+    p.add_argument("--counts", type=_int_list, default=None, help="task-count sweep, e.g. 5,10,15")
     _add_config_flags(p)
     p.set_defaults(fn=cmd_bench)
 

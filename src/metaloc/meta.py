@@ -112,6 +112,8 @@ class ImportanceVector:
     average_losses: the per-task cross-transfer average loss vector.
     loss_matrix: cell (i, j) is the loss of the model trained on task i
         after fine-tuning on task j's support (NaN on the diagonal).
+    task_ids: the scenario ids of that task order; when non-empty,
+        meta_train requires them to equal its training scenario ids.
     """
 
     values: np.ndarray
@@ -136,14 +138,8 @@ def build_task_data(scenario: Scenario, shots: int, seed: int) -> TaskData:
     The derivation ignores everything else about the run, so any two
     trainers handed the same seed see identical support/query sets.
     """
-    split = split_task(scenario, shots, substream_int(seed, "split", scenario.id, shots))
-    support = batch_from(split.support) if split.support else (np.zeros((0, 3, 30)), np.zeros((0, 2)))
-    return TaskData(
-        scenario_id=scenario.id,
-        support=support,
-        query=batch_from(split.query),
-        shots=split.shots,
-    )
+    support, query = split_task(scenario, shots, substream_int(seed, "split", scenario.id, shots))
+    return TaskData(scenario.id, batch_from(support), batch_from(query), shots)
 
 
 def _default_loss(params: ParamSet, batch) -> Tensor:
@@ -383,6 +379,11 @@ def meta_train(
             raise ValueError(
                 f"importance vector has {len(importance.values)} entries "
                 f"for {len(tasks)} training tasks"
+            )
+        ids = [t.scenario_id for t in tasks]
+        if importance.task_ids and list(importance.task_ids) != ids:
+            raise ValueError(
+                f"importance is for tasks {importance.task_ids}, not the training tasks {ids}"
             )
 
     params = init_params(substream_int(cfg.seed, "init"))

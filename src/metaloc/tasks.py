@@ -2,8 +2,13 @@
 
 A scenario is one indoor location: 12 reference points on a 3x4 grid with
 60 cm spacing (configurable), each holding a stack of CSI amplitude
-samples of shape 3 antennas x 30 subcarriers, labeled with the point's
-(x, y) position in cm.
+samples. Scenario.samples is one record array of SAMPLE_DTYPE, a row per
+sample: rp (int64, the reference-point index, row-major), pos_cm (float64
+(2,), that point's x, y in cm) and amp (float64 (3, 30), antennas x
+subcarriers). Splits return such records and batch_from turns them into
+model batches; no other module spells out this layout. The JSON file
+format is unchanged: per sample, "rp", "pos_cm" and a flat, antenna-major
+"amp" list of 90 values.
 
 Real capture hardware is out of scope; scenarios come from a synthetic
 channel: log-distance path loss from a random transmitter, shadowing from
@@ -29,9 +34,8 @@ __all__ = [
     "DataFormatError",
     "GridSpec",
     "ChannelConfig",
-    "Sample",
+    "SAMPLE_DTYPE",
     "Scenario",
-    "TaskSplit",
     "TaskSet",
     "generate_scenario",
     "normalize",
@@ -42,6 +46,12 @@ __all__ = [
     "load_scenario_dir",
     "batch_from",
 ]
+
+
+SAMPLE_DTYPE = np.dtype(
+    [("rp", np.int64), ("pos_cm", np.float64, (2,)), ("amp", np.float64, (3, 30))]
+)
+AMP_SHAPE = SAMPLE_DTYPE["amp"].shape
 
 
 class DataFormatError(Exception):
@@ -69,8 +79,6 @@ class ChannelConfig:
 
     grid: GridSpec = field(default_factory=GridSpec)
     samples_per_rp: int = 40
-    antennas: int = 3
-    subcarriers: int = 30
     subcarrier_spacing_mhz: float = 0.625  # 20 MHz grouped down to 30 bins
     carrier_ghz: float = 5.2
     path_loss_exponent: float = 2.5
@@ -86,50 +94,23 @@ class ChannelConfig:
 
 
 @dataclass
-class Sample:
-    rp: int
-    pos_cm: tuple
-    amp: np.ndarray  # (antennas, subcarriers), non-negative
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Sample)
-            and self.rp == other.rp
-            and self.pos_cm == other.pos_cm
-            and np.array_equal(self.amp, other.amp)
-        )
-
-
-@dataclass
 class Scenario:
     id: str
     grid: GridSpec
-    samples: list
+    samples: np.ndarray  # SAMPLE_DTYPE records
 
     def __eq__(self, other):
         return (
             isinstance(other, Scenario)
             and self.id == other.id
             and self.grid == other.grid
-            and self.samples == other.samples
+            and np.array_equal(self.samples, other.samples)
         )
 
     def samples_by_rp(self) -> dict:
-        groups: dict = {}
-        for s in self.samples:
-            groups.setdefault(s.rp, []).append(s)
-        return groups
-
-
-@dataclass
-class TaskSplit:
-    """k-shot support set plus disjoint query remainder for one scenario."""
-
-    scenario_id: str
-    support: list
-    query: list
-    shots: int
-    seed: int
+        """Records per reference point, keyed by rp in ascending order."""
+        rps = self.samples["rp"]
+        return {int(rp): self.samples[rps == rp] for rp in np.unique(rps)}
 
 
 @dataclass
@@ -169,6 +150,7 @@ def generate_scenario(
         raise ValueError(f"samples_per_rp must be >= 2, got {config.samples_per_rp}")
 
     rng = np.random.default_rng(seed)
+    antennas, subcarriers = AMP_SHAPE
     positions = grid.positions()
     x_hi = (grid.rows - 1) * grid.spacing_cm
     y_hi = (grid.cols - 1) * grid.spacing_cm
@@ -192,12 +174,12 @@ def generate_scenario(
     reflect_loss = rng.uniform(0.3, 0.9, size=config.echo_paths)
 
     ant_gain = np.clip(
-        1.0 + config.antenna_gain_jitter * rng.standard_normal(config.antennas),
+        1.0 + config.antenna_gain_jitter * rng.standard_normal(antennas),
         0.5,
         1.5,
     )
 
-    freqs_mhz = np.arange(config.subcarriers) * config.subcarrier_spacing_mhz
+    freqs_mhz = np.arange(subcarriers) * config.subcarrier_spacing_mhz
     k_f = config.rician_k
     los_w = math.sqrt(k_f / (k_f + 1.0))
     nlos_w = math.sqrt(1.0 / (k_f + 1.0))
@@ -205,7 +187,8 @@ def generate_scenario(
     ple = config.path_loss_exponent
     carrier_mhz = config.carrier_ghz * 1e3
 
-    samples = []
+    n = config.samples_per_rp
+    samples = np.empty(len(positions) * n, dtype=SAMPLE_DTYPE)
     for rp_index, pos in enumerate(positions):
         d_direct = max(math.dist(tx, pos), d0)
         envelope = (d0 / d_direct) ** (ple / 2.0)
@@ -227,7 +210,7 @@ def generate_scenario(
 
         # carrier phase per path plus an independent per-antenna offset
         base_phase = 2.0 * math.pi * ((carrier_mhz * delays * 1e-3) % 1.0)
-        ant_phase = rng.uniform(0.0, 2.0 * math.pi, size=(len(delays), config.antennas))
+        ant_phase = rng.uniform(0.0, 2.0 * math.pi, size=(len(delays), antennas))
         # (P, A, S) frequency sweep phases
         sweep = 2.0 * math.pi * delays[:, None] * freqs_mhz[None, :] * 1e-3
         static = base_phase[:, None, None] + ant_phase[:, :, None] - sweep[:, None, :]
@@ -239,42 +222,37 @@ def generate_scenario(
         field_sum = (gains[None, :, None, None] * np.exp(1j * phases)).sum(axis=1)
         amps = envelope * ant_gain[None, :, None] * np.abs(field_sum)
         amps = amps + config.noise_std * envelope * rng.standard_normal(amps.shape)
-        amps = np.maximum(amps, 0.0)
-
-        for t in range(config.samples_per_rp):
-            samples.append(Sample(rp=rp_index, pos_cm=pos, amp=amps[t]))
+        rows = samples[rp_index * n : (rp_index + 1) * n]
+        rows["rp"], rows["pos_cm"], rows["amp"] = rp_index, pos, np.maximum(amps, 0.0)
 
     return Scenario(id=scenario_id or f"scenario_{seed}", grid=grid, samples=samples)
 
 
 def normalize(amp: np.ndarray) -> np.ndarray:
-    """Scale a sample by its own maximum so the result peaks at exactly 1."""
+    """Scale each sample (the last two axes) by its own maximum, so it peaks at exactly 1."""
     arr = np.asarray(amp, dtype=np.float64)
-    peak = arr.max() if arr.size else 0.0
-    if not peak > 0.0:
+    peak = arr.max(axis=(-2, -1), keepdims=True)
+    if not np.all(peak > 0.0):
         raise DataFormatError("cannot normalize: sample has no strictly positive entry")
     return arr / peak
 
 
-def split_task(scenario: Scenario, k: int, seed: int) -> TaskSplit:
-    """Uniform k-per-reference-point support, remainder query; seeded."""
+def split_task(scenario: Scenario, k: int, seed: int) -> tuple:
+    """(support, query) records: k seeded picks per reference point, and the rest."""
     if k < 0:
         raise ValueError(f"shot count must be >= 0, got {k}")
     rng = np.random.default_rng(seed)
-    support: list = []
-    query: list = []
-    groups = scenario.samples_by_rp()
-    for rp in sorted(groups):
-        group = groups[rp]
+    support, query = [], []
+    for rp, group in scenario.samples_by_rp().items():
         if len(group) <= k:
             raise ValueError(
                 f"scenario {scenario.id}: reference point {rp} has {len(group)} "
                 f"samples, needs more than k={k}"
             )
         order = rng.permutation(len(group))
-        support.extend(group[i] for i in order[:k])
-        query.extend(group[i] for i in order[k:])
-    return TaskSplit(scenario_id=scenario.id, support=support, query=query, shots=k, seed=seed)
+        support.append(group[order[:k]])
+        query.append(group[order[k:]])
+    return np.concatenate(support), np.concatenate(query)
 
 
 def partition_tasks(scenarios: Sequence[Scenario], test_count: int, seed: int) -> TaskSet:
@@ -289,11 +267,9 @@ def partition_tasks(scenarios: Sequence[Scenario], test_count: int, seed: int) -
     return TaskSet(scenarios=scenarios, train_indices=train, test_indices=test, seed=seed)
 
 
-def batch_from(samples: Sequence[Sample]):
-    """Stack samples into a normalized (n,3,30) input and (n,2) label batch."""
-    xs = np.stack([normalize(s.amp) for s in samples])
-    ys = np.asarray([s.pos_cm for s in samples], dtype=np.float64)
-    return xs, ys
+def batch_from(records: np.ndarray):
+    """Normalized amplitudes and (n, 2) position labels of SAMPLE_DTYPE records."""
+    return normalize(records["amp"]), records["pos_cm"].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +277,9 @@ def batch_from(samples: Sequence[Sample]):
 
 
 def save_scenario(scenario: Scenario, path) -> None:
+    rec = scenario.samples
+    amps = rec["amp"].reshape(len(rec), -1).tolist()  # antenna-major row-major, normative
+    rows = zip(rec["rp"].tolist(), rec["pos_cm"].tolist(), amps)
     doc = {
         "id": scenario.id,
         "grid": {
@@ -308,14 +287,7 @@ def save_scenario(scenario: Scenario, path) -> None:
             "cols": scenario.grid.cols,
             "spacing_cm": scenario.grid.spacing_cm,
         },
-        "samples": [
-            {
-                "rp": s.rp,
-                "pos_cm": [s.pos_cm[0], s.pos_cm[1]],
-                "amp": s.amp.ravel().tolist(),  # antenna-major row-major, normative
-            }
-            for s in scenario.samples
-        ],
+        "samples": [{"rp": rp, "pos_cm": pos, "amp": amp} for rp, pos, amp in rows],
     }
     Path(path).write_text(json.dumps(doc))
 
@@ -348,29 +320,34 @@ def load_scenario(path) -> Scenario:
         cols=int(grid_doc["cols"]),
         spacing_cm=float(grid_doc["spacing_cm"]),
     )
-    positions = set(grid.positions())
+    positions = grid.positions()
 
     raw = _require(doc, "samples", where)
     if not isinstance(raw, list):
         raise DataFormatError(f"{where}: 'samples' must be a list")
-    samples = []
-    expected = 3 * 30
+    samples = np.empty(len(raw), dtype=SAMPLE_DTYPE)
+    expected = math.prod(AMP_SHAPE)
     for i, entry in enumerate(raw):
         ctx = f"{where}: samples[{i}]"
-        rp = _require(entry, "rp", ctx)
+        rp = int(_require(entry, "rp", ctx))
         pos = _require(entry, "pos_cm", ctx)
         amp = _require(entry, "amp", ctx)
         if len(pos) != 2:
             raise DataFormatError(f"{ctx}: pos_cm must have 2 entries, got {len(pos)}")
         if len(amp) != expected:
             raise DataFormatError(f"{ctx}: amp must have {expected} entries, got {len(amp)}")
+        if not 0 <= rp < len(positions):
+            raise DataFormatError(f"{ctx}: rp {rp} is outside [0, {len(positions)})")
         pos = (float(pos[0]), float(pos[1]))
-        if pos not in positions:
-            raise DataFormatError(f"{ctx}: position {pos} is not a grid reference point")
-        arr = np.asarray(amp, dtype=np.float64).reshape(3, 30)
+        if pos != positions[rp]:
+            raise DataFormatError(f"{ctx}: {pos} is not reference point {rp} at {positions[rp]}")
+        arr = np.asarray(amp, dtype=np.float64).reshape(AMP_SHAPE)
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise DataFormatError(f"{ctx}: amplitudes must be finite and non-negative")
-        samples.append(Sample(rp=int(rp), pos_cm=pos, amp=arr))
+        samples[i] = rp, pos, arr
+    missing = sorted(set(range(len(positions))) - set(samples["rp"].tolist()))
+    if missing:
+        raise DataFormatError(f"{where}: no samples for reference point(s) {missing}")
     return Scenario(id=str(sid), grid=grid, samples=samples)
 
 

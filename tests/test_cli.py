@@ -156,6 +156,30 @@ def test_train_conventional_and_transfer(tmp_path):
         assert (out / "checkpoint.json").exists()
 
 
+def test_train_target_out_of_range_usage_error(tmp_path, capsys):
+    data = gen(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--algo", "conventional", "--data", str(data), "--target", "99",
+              "--out", str(tmp_path / "o")] + FAST_FLAGS)
+    assert exc.value.code == 2
+    assert "--target 99 is outside [0, 3)" in capsys.readouterr().err
+
+
+def test_train_tb_maml_misaligned_importance_is_error(tmp_path, capsys):
+    data = gen(tmp_path)
+    imp = tmp_path / "importance.json"
+    assert main(["importance", "--data", str(data), "--k", "1", "--out", str(imp)] + FAST_FLAGS) == 0
+    doc = json.loads(imp.read_text())
+    doc["task_ids"] = doc["task_ids"][::-1]  # the same tasks in another order
+    imp.write_text(json.dumps(doc))
+    rc = main(
+        ["train", "--algo", "tb-maml", "--data", str(data), "--k", "1", "--importance", str(imp),
+         "--out", str(tmp_path / "o")] + FAST_FLAGS
+    )
+    assert rc == 3
+    assert "not the training tasks" in capsys.readouterr().err
+
+
 def test_eval_command_and_zero_shot(tmp_path):
     data = gen(tmp_path)
     run = tmp_path / "run"
@@ -216,6 +240,18 @@ def test_bench_transfer_zero_shots(tmp_path):
     assert rc == 0
     # zero-shot: every sample of the one test scenario is query
     assert len((out / "errors.csv").read_text().splitlines()) - 1 == 48
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--shots", "abc"), ("--shots", "5,"), ("--algos", "maml,nope"), ("--counts", "x")]
+)
+def test_bench_malformed_list_usage_error(tmp_path, flag, value):
+    data = gen(tmp_path, n=4)
+    out = tmp_path / "bench"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--data", str(data), "--out", str(out), flag, value] + FAST_FLAGS)
+    assert exc.value.code == 2
+    assert not out.exists()  # rejected before any work starts
 
 
 def test_bench_deterministic_outputs(tmp_path):

@@ -282,6 +282,18 @@ def test_tb_maml_equals_maml_gamma_zero_full_loop():
         assert np.array_equal(a[name].data, b[name].data)
 
 
+def test_tb_maml_rejects_importance_of_other_tasks():
+    scenarios = small_scenarios(3)
+    imp = meta.ImportanceVector(
+        values=np.zeros(3),
+        average_losses=np.zeros(3),
+        loss_matrix=np.zeros((3, 3)),
+        task_ids=[s.id for s in reversed(scenarios)],
+    )
+    with pytest.raises(ValueError, match="not the training tasks"):
+        meta.meta_train("tb-maml", scenarios, quick_cfg(), importance=imp)
+
+
 def test_conventional_zero_epochs_is_random_init():
     scenarios = small_scenarios(1)
     cfg = quick_cfg()

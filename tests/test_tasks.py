@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metaloc import tasks
 from metaloc.tasks import ChannelConfig, DataFormatError, GridSpec
@@ -28,7 +29,7 @@ def test_generation_deterministic():
 
 def test_default_grid_labels():
     scenario = tasks.generate_scenario(1, small_config())
-    labels = {s.pos_cm for s in scenario.samples}
+    labels = {tuple(p) for p in scenario.samples["pos_cm"].tolist()}
     expected = {(r * 60.0, c * 60.0) for r in range(3) for c in range(4)}
     assert labels == expected
     xs = {p[0] for p in labels}
@@ -39,9 +40,8 @@ def test_default_grid_labels():
 def test_sample_counts_and_shape():
     scenario = tasks.generate_scenario(2, small_config())
     assert len(scenario.samples) == 4 * 12
-    for s in scenario.samples:
-        assert s.amp.shape == (3, 30)
-        assert np.all(s.amp >= 0.0)
+    assert scenario.samples["amp"].shape == (4 * 12, 3, 30)
+    assert np.all(scenario.samples["amp"] >= 0.0)
 
 
 def test_distinct_seeds_distinct_realizations():
@@ -49,9 +49,7 @@ def test_distinct_seeds_distinct_realizations():
     for seed in range(10):
         scenario = tasks.generate_scenario(seed, small_config())
         groups = scenario.samples_by_rp()
-        vec = np.stack(
-            [np.mean([s.amp for s in groups[rp]], axis=0).ravel() for rp in sorted(groups)]
-        )
+        vec = np.stack([groups[rp]["amp"].mean(axis=0).ravel() for rp in sorted(groups)])
         vecs.append(vec)
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
@@ -78,7 +76,7 @@ def test_amplitude_monotone_with_distance_in_expectation():
     for seed in range(100):
         scenario = tasks.generate_scenario(seed, small_config())
         groups = scenario.samples_by_rp()
-        means = [np.mean([s.amp.mean() for s in g]) for g in groups.values()]
+        means = [g["amp"].mean(axis=(1, 2)).mean() for g in groups.values()]
         near.append(max(means))
         far.append(min(means))
     assert np.mean(near) >= np.mean(far)
@@ -123,42 +121,49 @@ def test_normalize_rejects_all_zero():
 # splits
 
 
+def _keys(records) -> list:
+    """Each record's bytes (rp, position and amplitudes), sorted."""
+    return sorted(r.tobytes() for r in records)
+
+
 def test_split_counts():
     scenario = tasks.generate_scenario(8, ChannelConfig(samples_per_rp=40))
-    split = tasks.split_task(scenario, 5, 42)
-    assert len(split.support) == 60
-    assert len(split.query) == 420
+    support, query = tasks.split_task(scenario, 5, 42)
+    assert len(support) == 60
+    assert len(query) == 420
 
 
 def test_split_deterministic_and_seed_sensitive():
     scenario = tasks.generate_scenario(9, small_config())
-    a = tasks.split_task(scenario, 2, 1)
-    b = tasks.split_task(scenario, 2, 1)
-    c = tasks.split_task(scenario, 2, 2)
-    key = lambda s: (s.rp, s.amp.tobytes())
-    assert [key(s) for s in a.support] == [key(s) for s in b.support]
-    assert [key(s) for s in a.support] != [key(s) for s in c.support]
+    a, _ = tasks.split_task(scenario, 2, 1)
+    b, _ = tasks.split_task(scenario, 2, 1)
+    c, _ = tasks.split_task(scenario, 2, 2)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_split_union_is_whole_scenario():
     scenario = tasks.generate_scenario(10, small_config(samples_per_rp=3))
-    split = tasks.split_task(scenario, 1, 7)
-    all_keys = sorted((s.rp, s.amp.tobytes()) for s in scenario.samples)
-    split_keys = sorted((s.rp, s.amp.tobytes()) for s in split.support + split.query)
-    assert all_keys == split_keys
+    support, query = tasks.split_task(scenario, 1, 7)
+    assert _keys(scenario.samples) == _keys(np.concatenate([support, query]))
 
 
-def test_split_disjoint_and_exact_cardinality_randomized():
-    rng = np.random.default_rng(0)
-    for trial in range(50):
-        spp = int(rng.integers(3, 8))
-        k = int(rng.integers(0, spp - 1))
-        scenario = tasks.generate_scenario(int(rng.integers(1000)), small_config(samples_per_rp=spp))
-        split = tasks.split_task(scenario, k, int(rng.integers(1000)))
-        support_ids = {(s.rp, s.amp.tobytes()) for s in split.support}
-        query_ids = {(s.rp, s.amp.tobytes()) for s in split.query}
-        assert not support_ids & query_ids
-        assert len(split.support) == k * 12
+@settings(max_examples=50, deadline=None)
+@given(
+    spp=st.integers(2, 7),
+    data=st.data(),
+    scenario_seed=st.integers(0, 999),
+    split_seed=st.integers(0, 2**32 - 1),
+)
+def test_split_disjoint_and_exact_cardinality_randomized(spp, data, scenario_seed, split_seed):
+    k = data.draw(st.integers(0, spp - 1), label="k")
+    scenario = tasks.generate_scenario(scenario_seed, small_config(samples_per_rp=spp))
+    support, query = tasks.split_task(scenario, k, split_seed)
+    assert not set(_keys(support)) & set(_keys(query))
+    assert _keys(np.concatenate([support, query])) == _keys(scenario.samples)
+    assert np.array_equal(np.bincount(support["rp"], minlength=12), np.full(12, k))
+    again = tasks.split_task(scenario, k, split_seed)
+    assert np.array_equal(again[0], support) and np.array_equal(again[1], query)
 
 
 def test_split_insufficient_samples():
@@ -191,9 +196,9 @@ def test_roundtrip_numeric_fidelity(tmp_path):
     path = tmp_path / "scenario_000.json"
     tasks.save_scenario(scenario, path)
     loaded = tasks.load_scenario(path)
-    for a, b in zip(scenario.samples, loaded.samples):
-        denom = np.maximum(np.abs(a.amp), 1e-300)
-        assert (np.abs(a.amp - b.amp) / denom).max() <= 1e-15
+    a, b = scenario.samples["amp"], loaded.samples["amp"]
+    denom = np.maximum(np.abs(a), 1e-300)
+    assert (np.abs(a - b) / denom).max() <= 1e-15
 
 
 def test_load_missing_field_named(tmp_path):
@@ -236,6 +241,26 @@ def test_load_off_grid_label(tmp_path):
         tasks.load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda ss: ss[:5] + [dict(ss[5], rp=99)] + ss[6:], r"samples\[5\]: rp 99"),
+        # sample 0 stays at reference point 0's position
+        (lambda ss: [dict(ss[0], rp=7)] + ss[1:], r"samples\[0\].*reference point 7"),
+        (lambda ss: [x for x in ss if x["rp"] != 3], r"reference point\(s\) \[3\]"),
+    ],
+    ids=["rp-out-of-range", "rp-at-another-position", "rp-missing"],
+)
+def test_load_rejects_misaligned_labels(tmp_path, edit, match):
+    path = tmp_path / "scenario_000.json"
+    tasks.save_scenario(tasks.generate_scenario(16, small_config()), path)
+    doc = json.loads(path.read_text())
+    doc["samples"] = edit(doc["samples"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=match):
+        tasks.load_scenario(path)
+
+
 def test_load_scenario_dir_sorted(tmp_path):
     for i in (2, 0, 1):
         tasks.save_scenario(
@@ -254,6 +279,10 @@ def test_load_scenario_dir_sorted(tmp_path):
 
 def test_batch_from_normalizes():
     scenario = tasks.generate_scenario(17, small_config())
-    x, y = tasks.batch_from(scenario.samples[:8])
+    records = scenario.samples[:8]
+    x, y = tasks.batch_from(records)
     assert x.shape == (8, 3, 30) and y.shape == (8, 2)
     assert np.allclose(x.max(axis=(1, 2)), 1.0)
+    # bitwise equal to normalizing each row on its own and stacking
+    assert x.tobytes() == np.stack([tasks.normalize(r["amp"]) for r in records]).tobytes()
+    assert y.tobytes() == np.array([r["pos_cm"] for r in records]).tobytes()
