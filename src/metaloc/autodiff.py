@@ -7,6 +7,12 @@ public ops, so running a backward pass with ``create_graph=True`` records
 a new differentiable graph - that is what gives gradients of gradients,
 needed to push meta-gradients through an inner adaptation step.
 
+A backward pass runs backward rules only for nodes downstream of a
+requested (``wrt``) tensor: history older than the requested tensors is
+never re-differentiated, so inner step k of a second-order adaptation
+records what step 0 does. A requested tensor's gradient still counts every
+path to the output, including paths through other requested tensors.
+
 The op family is exactly what the localization CNN and its MSE loss need:
 add, sub, scalar multiply, matmul, conv1d (kernel 3, padding 1), maxpool1d
 (kernel 2, floor length), relu, flatten and mean squared error, plus the
@@ -519,6 +525,10 @@ def grad(
     on the graph and can be differentiated again. Parameters with no path
     to the output get a zero gradient plus a True entry in the detached
     mask (requested via with_detached) rather than an error.
+
+    Backward rules run only for nodes downstream of a wrt tensor, so none
+    runs for the history behind a non-leaf wrt tensor. Each wrt gradient
+    is still the total derivative: paths through other wrt tensors count.
     """
     if output.size != 1:
         raise ShapeError(f"grad: output must be scalar, got shape {output.shape}")
@@ -529,17 +539,23 @@ def grad(
         grads[id(output)] = Tensor(np.ones(output.shape))
 
     order = toposort(output)
+    # only nodes downstream of wrt can carry gradient to it: mark the
+    # tracked wrt tensors, then every node with a marked parent
+    marked = {id(t) for t in wrt if t.requires_grad or t.node is not None}
+    downstream = []
+    for t in order:
+        if t.node is not None and any(id(p) in marked for p in t.node.parents):
+            marked.add(id(t))
+            downstream.append(t)
     ctx = no_grad() if not create_graph else _null_ctx()
     with ctx:
-        for t in reversed(order):
-            if t.node is None:
-                continue
+        for t in reversed(downstream):
             g = grads.get(id(t))
             if g is None:
                 continue
             parent_grads = t.node.vjp(g)
             for p, pg in zip(t.node.parents, parent_grads):
-                if pg is None or not (p.requires_grad or p.node is not None):
+                if pg is None or id(p) not in marked:
                     continue
                 held = grads.get(id(p))
                 grads[id(p)] = pg if held is None else add(held, pg)

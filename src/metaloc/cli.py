@@ -117,9 +117,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _importance_doc(vector: meta.ImportanceVector, cfg: meta.MetaConfig) -> dict:
+def _importance_doc(vector: meta.ImportanceVector, cfg: meta.MetaConfig, scenarios) -> dict:
     return {
         "task_ids": vector.task_ids,
+        "task_digests": [s.digest() for s in scenarios],
         "importance": vector.values.tolist(),
         "average_losses": vector.average_losses.tolist(),
         "loss_matrix": [
@@ -129,8 +130,19 @@ def _importance_doc(vector: meta.ImportanceVector, cfg: meta.MetaConfig) -> dict
     }
 
 
-def _load_importance(path: Path) -> meta.ImportanceVector:
+def _load_importance(path: Path, scenarios) -> meta.ImportanceVector:
+    """The importance vector of a file written on these scenarios' samples.
+
+    A file from before task_digests were recorded is taken as it is.
+    """
     doc = json.loads(path.read_text())
+    for task_id, digest, scenario in zip(doc["task_ids"], doc.get("task_digests", []), scenarios):
+        if digest != scenario.digest():
+            raise DataFormatError(
+                f"{path}: task {task_id} was computed on other samples than "
+                f"scenario {scenario.id} of the training data (sha256 {digest[:12]}... "
+                f"vs {scenario.digest()[:12]}...)"
+            )
     matrix = np.array(
         [[np.nan if v is None else v for v in row] for row in doc["loss_matrix"]]
     )
@@ -150,7 +162,7 @@ def cmd_importance(args) -> int:
     vector = meta.compute_importance(scenarios, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(_importance_doc(vector, cfg), indent=2))
+    out.write_text(json.dumps(_importance_doc(vector, cfg, scenarios), indent=2))
     print(f"importance over {len(scenarios)} tasks -> {out}")
     return 0
 
@@ -169,12 +181,12 @@ def cmd_train(args) -> int:
         importance = None
         if args.algo == "tb-maml":
             if args.importance:
-                importance = _load_importance(Path(args.importance))
+                importance = _load_importance(Path(args.importance), scenarios)
                 resolved["importance_file"] = str(args.importance)
             else:
                 importance = meta.compute_importance(scenarios, cfg)
                 imp_path = out / "importance.json"
-                imp_path.write_text(json.dumps(_importance_doc(importance, cfg), indent=2))
+                imp_path.write_text(json.dumps(_importance_doc(importance, cfg, scenarios), indent=2))
                 outputs.append(imp_path)
                 resolved["importance_file"] = str(imp_path)
         params = meta.meta_train(args.algo, scenarios, cfg, importance=importance, trace=trace)

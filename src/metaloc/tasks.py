@@ -20,6 +20,7 @@ the scenarios behave as distinct tasks.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -106,6 +107,10 @@ class Scenario:
             and self.grid == other.grid
             and np.array_equal(self.samples, other.samples)
         )
+
+    def digest(self) -> str:
+        """sha256 of the sample records; equal digests mean equal samples."""
+        return hashlib.sha256(np.ascontiguousarray(self.samples).tobytes()).hexdigest()
 
     def samples_by_rp(self) -> dict:
         """Records per reference point, keyed by rp in ascending order."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from metaloc import autodiff as ad
 
@@ -116,6 +117,44 @@ def test_detached_parameter_zero_grad_with_flag():
     assert detached == [False, True]
     assert np.array_equal(grads[1].data, [0.0])
     assert np.array_equal(grads[0].data, [4.0])
+
+
+def test_detached_non_leaf_zero_grad_with_flag():
+    x = ad.tensor([2.0, -1.0], requires_grad=True)
+    off_path = ad.mul(x, x)
+    grads, detached = ad.grad(ad.sum_all(x), [x, off_path], with_detached=True)
+    assert detached == [False, True]
+    assert np.array_equal(grads[1].data, [0.0, 0.0])
+
+
+def _downstream(t):
+    out = ad.matmul(ad.mul(t, ad.relu(t)), ad.tensor(rand((4, 2), seed=32)))
+    return ad.sum_all(ad.mul(out, out))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_grad_at_non_leaf_equals_grad_at_fresh_leaf(order):
+    # h has graph history; the fresh leaf holds the same values and has none
+    x = ad.tensor(rand((3, 4), seed=31), requires_grad=True)
+    h = ad.add(ad.mul(x, x), ad.relu(x))
+    proj = ad.tensor(rand((3, 4), seed=33))
+    results = []
+    for t in (h, ad.tensor(h.data.copy(), requires_grad=True)):
+        (g,) = ad.grad(_downstream(t), [t], create_graph=order == 2)
+        if order == 2:
+            (g,) = ad.grad(ad.sum_all(ad.mul(g, proj)), [t])
+        results.append(g.data)
+    assert np.array_equal(results[0], results[1])  # bitwise
+
+
+def test_wrt_ancestor_of_wrt_gets_total_derivative():
+    u0 = np.array([1.0, 2.0, -0.5, 3.0])
+    u = ad.tensor(u0, requires_grad=True)
+    t = ad.mul(u, u)
+    y = ad.sum_all(ad.mul(t, u))
+    gu, gt = ad.grad(y, [u, t])
+    assert np.array_equal(gu.data, 3 * u0**2)
+    assert np.array_equal(gt.data, u0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +323,93 @@ def test_no_grad_suppresses_recording():
     with ad.no_grad():
         y = ad.mul(x, x)
     assert y.node is None and not y.requires_grad
+
+
+# ---------------------------------------------------------------------------
+# every op against central differences, first and second order
+
+# name -> (input shapes from the drawn dims, op over the input tensors);
+# r, c, k are matrix extents, n, ch, out_ch, length a conv or pool batch
+OP_CASES = {
+    "add": (lambda d: [(d["r"], d["c"]), (d["c"],)], ad.add),
+    "sub": (lambda d: [(d["r"], d["c"])] * 2, ad.sub),
+    "mul": (lambda d: [(d["r"], d["c"])] * 2, ad.mul),
+    "scale": (lambda d: [(d["r"], d["c"])], lambda a: ad.scale(a, 1.7)),
+    "matmul": (lambda d: [(d["r"], d["k"]), (d["k"], d["c"])], ad.matmul),
+    "transpose": (lambda d: [(d["r"], d["c"])], ad.transpose),
+    "permute": (lambda d: [(d["n"], d["ch"], d["length"])], lambda a: ad.permute(a, (2, 0, 1))),
+    "reshape": (lambda d: [(d["r"], d["c"])], lambda a: ad.reshape(a, a.shape[::-1])),
+    "relu": (lambda d: [(d["r"], d["c"])], ad.relu),
+    "sum_all": (lambda d: [(d["r"], d["c"])], ad.sum_all),
+    "mean_all": (lambda d: [(d["r"], d["c"])], ad.mean_all),
+    "mse": (lambda d: [(d["r"], d["c"])] * 2, ad.mse),
+    "maxpool1d": (lambda d: [(d["n"], d["ch"], d["length"])], lambda a: ad.maxpool1d(a, 2)),
+    "conv1d": (
+        lambda d: [(d["n"], d["ch"], d["length"]), (d["out_ch"], d["ch"], 3), (d["out_ch"],)],
+        lambda x, w, b: ad.conv1d(x, w, b, padding=1),
+    ),
+}
+
+
+def assert_matches_fd(analytic, numeric, tol):
+    # relative per entry; entries under 1e-3 are held to tol * 1e-3 absolute
+    assert np.all(np.abs(analytic - numeric) <= tol * np.maximum(np.abs(numeric), 1e-3))
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.fixed_dictionaries(
+        {
+            "r": st.integers(1, 3),
+            "c": st.integers(1, 3),
+            "k": st.integers(1, 3),
+            "n": st.integers(1, 2),
+            "ch": st.integers(1, 2),
+            "out_ch": st.integers(1, 2),
+            "length": st.integers(2, 6),
+        }
+    ),
+)
+def test_op_gradients_match_finite_differences(name, seed, dims):
+    shapes, op = OP_CASES[name]
+    rng = np.random.default_rng(seed)
+    inputs = [rng.uniform(-1, 1, shape) for shape in shapes(dims)]
+    if name == "relu":
+        assume(np.abs(inputs[0]).min() > 1e-3)
+    if name == "maxpool1d":
+        x = inputs[0]
+        pairs = x[..., : x.shape[-1] // 2 * 2].reshape(x.shape[:-1] + (-1, 2))
+        assume(np.abs(pairs[..., 0] - pairs[..., 1]).min() > 1e-3)
+    proj = ad.tensor(rng.uniform(-1, 1, op(*map(ad.tensor, inputs)).shape))
+    directions = [ad.tensor(rng.uniform(-1, 1, a.shape)) for a in inputs]
+
+    def leaves(arrays):
+        return [ad.tensor(a, requires_grad=True) for a in arrays]
+
+    def loss(ts):
+        # <proj, y*y> is quadratic in y, so even a linear op has a second derivative
+        y = op(*ts)
+        return ad.sum_all(ad.mul(proj, ad.mul(y, y)))
+
+    def directional(ts):
+        # <grad loss, v>: differentiating it runs the second-order path
+        grads = ad.grad(loss(ts), ts, create_graph=True)
+        terms = [ad.sum_all(ad.mul(g, v)) for g, v in zip(grads, directions)]
+        total = terms[0]
+        for term in terms[1:]:
+            total = ad.add(total, term)
+        return total
+
+    for fn, tol in ((loss, 1e-4), (directional, 1e-3)):
+        ts = leaves(inputs)
+        analytic = ad.grad(fn(ts), ts)
+        for i, a in enumerate(inputs):
+
+            def at(arr, i=i):
+                arrays = list(inputs)
+                arrays[i] = arr
+                return fn(leaves(arrays)).item()
+
+            assert_matches_fd(analytic[i].data, fd_gradient(at, a.copy()), tol)

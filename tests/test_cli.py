@@ -180,6 +180,37 @@ def test_train_tb_maml_misaligned_importance_is_error(tmp_path, capsys):
     assert "not the training tasks" in capsys.readouterr().err
 
 
+def test_train_tb_maml_importance_of_other_rooms_is_error(tmp_path, capsys):
+    # gen names scenarios scenario_000... in every directory, so the ids of
+    # an importance file from other rooms match; its sample digests do not
+    other = gen(tmp_path / "other", n=3, seed=9)
+    imp = tmp_path / "importance.json"
+    assert main(["importance", "--data", str(other), "--k", "1", "--out", str(imp)] + FAST_FLAGS) == 0
+    data = gen(tmp_path, n=3, seed=1)
+    argv = ["train", "--algo", "tb-maml", "--data", str(data), "--k", "1",
+            "--importance", str(imp), "--out", str(tmp_path / "o")] + FAST_FLAGS
+    assert main(argv) == 3
+    assert "task scenario_000 was computed on other samples" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+    doc = json.loads(imp.read_text())
+    assert len(doc["task_digests"]) == 3 and len(set(doc["task_digests"])) == 3
+    del doc["task_digests"]  # a file from before digests were recorded
+    imp.write_text(json.dumps(doc))
+    assert main(argv) == 0
+
+
+def test_train_tb_maml_importance_of_same_rooms_is_accepted(tmp_path):
+    data = gen(tmp_path, n=3, seed=1)
+    imp = tmp_path / "importance.json"
+    assert main(["importance", "--data", str(data), "--k", "1", "--out", str(imp)] + FAST_FLAGS) == 0
+    rc = main(
+        ["train", "--algo", "tb-maml", "--data", str(data), "--k", "1", "--importance", str(imp),
+         "--out", str(tmp_path / "o")] + FAST_FLAGS
+    )
+    assert rc == 0
+
+
 def test_eval_command_and_zero_shot(tmp_path):
     data = gen(tmp_path)
     run = tmp_path / "run"

@@ -357,3 +357,69 @@ def test_adapt_and_eval_zero_shot():
     assert task.support[0].shape[0] == 0
     errors = meta.adapt_and_eval(model.init_params(1), task, cfg)
     assert errors.size == len(scenarios[0].samples)
+
+
+# ---------------------------------------------------------------------------
+# second-order path on the real network
+
+
+def test_second_order_inner_steps_record_equal_graphs(monkeypatch):
+    # each inner step's create_graph backward stops at the current parameters,
+    # so step k records what step 0 does instead of re-differentiating k steps
+    task = meta.build_task_data(tasks.generate_scenario(8, tasks.ChannelConfig()), 5, 0)
+    created = [0]
+
+    class CountingNode(ad.Node):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            created[0] += 1
+            super().__init__(*args)
+
+    real_grad = meta.grad
+    counts = []
+
+    def counting_grad(output, wrt, create_graph=False, **kw):
+        before = created[0]
+        result = real_grad(output, wrt, create_graph=create_graph, **kw)
+        if create_graph:
+            counts.append(created[0] - before)
+        return result
+
+    monkeypatch.setattr(ad, "Node", CountingNode)
+    monkeypatch.setattr(meta, "grad", counting_grad)
+    meta.inner_adapt(model.init_params(0), task.support, 0.01, 5, create_graph=True)
+    assert len(counts) == 5 and counts[0] > 0
+    assert counts == [counts[0]] * 5
+
+
+def test_cnn_meta_gradient_matches_finite_difference():
+    # directional derivative of the unrolled two-step query loss along a unit
+    # direction; h stays at 1e-6 because larger steps cross relu and maxpool kinks
+    scenario = tasks.generate_scenario(21, tasks.ChannelConfig())
+    task = meta.build_task_data(scenario, 1, 0)
+    task = dataclasses.replace(task, query=(task.query[0][:24], task.query[1][:24]))
+    assert len(task.support[1]) == 12
+    cfg = MetaConfig(inner_steps=2, alpha=0.01)
+    params = model.init_params(3)
+    grads, _ = meta._meta_gradients(params, [task], cfg, True, meta._default_loss)
+    rng = np.random.default_rng(4)
+    direction = [rng.standard_normal(t.shape) for t in params.tensors()]
+    norm = np.sqrt(sum(float(np.sum(d * d)) for d in direction))
+    direction = [d / norm for d in direction]
+    analytic = sum(float(np.vdot(g.data, d)) for g, d in zip(grads, direction))
+
+    def query_loss(eps):
+        shifted = model.ParamSet(
+            {
+                name: ad.Tensor(t.data + eps * d, requires_grad=True)
+                for (name, t), d in zip(params.items(), direction)
+            }
+        )
+        adapted = meta.inner_adapt(shifted, task.support, cfg.alpha, cfg.inner_steps)
+        with ad.no_grad():
+            return model.loss(adapted, task.query).item()
+
+    h = 1e-6
+    numeric = (query_loss(h) - query_loss(-h)) / (2 * h)
+    assert analytic == pytest.approx(numeric, rel=1e-5)
