@@ -14,14 +14,22 @@ records what step 0 does. A requested tensor's gradient still counts every
 path to the output, including paths through other requested tensors.
 
 The op family is exactly what the localization CNN and its MSE loss need:
-add, sub, scalar multiply, matmul, conv1d (kernel 3, padding 1), maxpool1d
-(kernel 2, floor length), relu, flatten and mean squared error, plus the
-internal reshaping/padding/contraction helpers their backward rules use.
-Everything is float64; no broadcasting beyond bias addition is supported.
+add, sub, scalar multiply, matmul, conv1d (stride 1, any kernel and
+padding), maxpool1d (non-overlapping, floor length), relu, flatten and mean
+squared error. One private pair moves entries by index: ``_gather`` copies
+each sample's entries at given flat positions, and ``_scatter``, its
+adjoint, sums them back; each is the other's backward rule. conv1d gathers
+its im2col windows and contracts them with one matmul. A tap off either end
+of a sample reads a zero placed after that sample, so padding is no op of
+its own. maxpool1d gathers at the argmax positions. ``_scatter`` sums the
+last index axis outermost, so an input position adds its kernel taps in
+tap order, 0 to K-1. Everything is float64; no broadcasting beyond bias
+addition is supported.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -131,9 +139,6 @@ class Tensor:
             raise ShapeError(f"item: tensor has shape {self.shape}, not scalar")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def check_finite(self, context: str = "") -> "Tensor":
         if not np.all(np.isfinite(self.data)):
             bad = int(np.size(self.data) - np.count_nonzero(np.isfinite(self.data)))
@@ -147,32 +152,9 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # arithmetic sugar used throughout the trainers
+    # the trainers sum losses and gradients with +
     def __add__(self, other):
         return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other))
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -366,51 +348,42 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 # convolution / pooling
 
 
-def _pad_last(a: Tensor, pad: int) -> Tensor:
-    width = [(0, 0)] * (a.ndim - 1) + [(pad, pad)]
-    data = np.pad(a.data, width)
+def _positions(index: np.ndarray, batch: int, per: int) -> np.ndarray:
+    """Per-sample positions as positions in the (batch, per) flattening."""
+    return index + per * np.arange(batch).reshape((batch,) + (1,) * (index.ndim - 1))
+
+
+def _gather(x: Tensor, index: np.ndarray) -> Tensor:
+    """Entries of each sample x[b] picked by flat position: (B,) + index.shape[1:].
+
+    index has a leading axis of 1 (one index for every sample) or B.
+    Position x[b].size reads a zero placed after the sample.
+    """
+    batch = x.shape[0]
+    flat = np.zeros((batch, int(np.prod(x.shape[1:])) + 1))
+    flat[:, :-1] = x.data.reshape(batch, -1)
 
     def vjp(g: Tensor):
-        return (_crop_last(g, pad),)
+        return (_scatter(g, index, x.shape),)
 
-    return _make(data, "pad_last", (a,), vjp)
-
-
-def _crop_last(a: Tensor, pad: int) -> Tensor:
-    data = a.data[..., pad : a.shape[-1] - pad].copy()
-
-    def vjp(g: Tensor):
-        return (_pad_last(g, pad),)
-
-    return _make(data, "crop_last", (a,), vjp)
+    return _make(flat.ravel()[_positions(index, *flat.shape)], "gather", (x,), vjp)
 
 
-def _unfold_last(a: Tensor, k: int) -> Tensor:
-    """Length-k sliding windows over the last axis: (..., L) -> (..., L-k+1, k)."""
-    if a.shape[-1] < k:
-        raise ShapeError(f"unfold: length {a.shape[-1]} < kernel {k}")
-    data = np.lib.stride_tricks.sliding_window_view(a.data, k, axis=-1).copy()
+def _scatter(g: Tensor, index: np.ndarray, shape: tuple) -> Tensor:
+    """Adjoint of _gather: sum g onto the positions index picked, in `shape`.
 
-    def vjp(g: Tensor):
-        return (_fold_last(g, a.shape[-1]),)
+    The last index axis is summed outermost, so a position that several
+    kernel taps read adds their entries in tap order.
+    """
+    batch = shape[0]
+    per = int(np.prod(shape[1:])) + 1
+    target = np.moveaxis(_positions(index, batch, per), -1, 0).ravel()
+    data = np.bincount(target, np.moveaxis(g.data, -1, 0).ravel(), minlength=batch * per)
 
-    return _make(data, "unfold_last", (a,), vjp)
+    def vjp(g2: Tensor):
+        return (_gather(g2, index),)
 
-
-def _fold_last(a: Tensor, length: int) -> Tensor:
-    """Adjoint of _unfold_last: overlap-add windows back to length L."""
-    k = a.shape[-1]
-    m = a.shape[-2]
-    if m + k - 1 != length:
-        raise ShapeError(f"fold: windows {a.shape} do not fold to length {length}")
-    data = np.zeros(a.shape[:-2] + (length,), dtype=np.float64)
-    for j in range(k):
-        data[..., j : j + m] += a.data[..., :, j]
-
-    def vjp(g: Tensor):
-        return (_unfold_last(g, k),)
-
-    return _make(data, "fold_last", (a,), vjp)
+    return _make(data.reshape(batch, per)[:, :-1].reshape(shape), "scatter", (g,), vjp)
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: int = 1) -> Tensor:
@@ -431,13 +404,19 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
         raise ShapeError(
             f"conv1d: bias shape {bias.shape} != ({weight.shape[0]},)"
         )
-    xp = _pad_last(x, padding) if padding else x
-    kernel = weight.shape[2]
-    out_ch = weight.shape[0]
-    windows = _unfold_last(xp, kernel)  # (B, Cin, Lout, K)
-    batch, _, length_out, _ = windows.shape
+    batch, in_ch, length = x.shape
+    out_ch, _, kernel = weight.shape
+    if padding < 0:
+        raise ShapeError(f"conv1d: padding {padding} < 0")
+    length_out = length + 2 * padding - kernel + 1
+    if length_out < 1:
+        raise ShapeError(f"conv1d: length {length} + 2 * padding {padding} < kernel {kernel}")
+    # im2col windows (B, Lout, Cin, K); a tap off either end reads the zero
+    taps = np.arange(length_out)[:, None, None] + np.arange(kernel) - padding
+    inside = (taps >= 0) & (taps < length)
+    index = np.where(inside, np.arange(in_ch)[:, None] * length + taps, in_ch * length)
     # contraction as a BLAS matmul: rows are (batch, position), cols (channel, tap)
-    cols = reshape(permute(windows, (0, 2, 1, 3)), (batch * length_out, -1))
+    cols = reshape(_gather(x, index[None]), (batch * length_out, -1))
     wmat = transpose(reshape(weight, (out_ch, -1)))
     y = permute(reshape(matmul(cols, wmat), (batch, length_out, out_ch)), (0, 2, 1))
     if bias is not None:
@@ -454,38 +433,8 @@ def maxpool1d(x: Tensor, kernel: int = 2) -> Tensor:
     if m == 0:
         raise ShapeError(f"maxpool1d: length {length} < kernel {kernel}")
     blocks = x.data[..., : m * kernel].reshape(x.shape[:-1] + (m, kernel))
-    idx = blocks.argmax(axis=-1)
-    out = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
-
-    def vjp(g: Tensor):
-        return (_pool_scatter(g, idx, kernel, length),)
-
-    return _make(out, "maxpool1d", (x,), vjp)
-
-
-def _pool_scatter(g: Tensor, idx: np.ndarray, kernel: int, length: int) -> Tensor:
-    """Scatter pooled gradients back to the argmax positions (adjoint of gather)."""
-    m = idx.shape[-1]
-    blocks = np.zeros(g.shape[:-1] + (m, kernel), dtype=np.float64)
-    np.put_along_axis(blocks, idx[..., None], g.data[..., None], axis=-1)
-    data = np.zeros(g.shape[:-1] + (length,), dtype=np.float64)
-    data[..., : m * kernel] = blocks.reshape(g.shape[:-1] + (m * kernel,))
-
-    def vjp(g2: Tensor):
-        return (_pool_gather(g2, idx, kernel),)
-
-    return _make(data, "pool_scatter", (g,), vjp)
-
-
-def _pool_gather(x: Tensor, idx: np.ndarray, kernel: int) -> Tensor:
-    m = idx.shape[-1]
-    blocks = x.data[..., : m * kernel].reshape(x.shape[:-1] + (m, kernel))
-    data = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
-
-    def vjp(g: Tensor):
-        return (_pool_scatter(g, idx, kernel, x.shape[-1]),)
-
-    return _make(data, "pool_gather", (x,), vjp)
+    starts = np.arange(x.shape[1])[:, None] * length + np.arange(m) * kernel
+    return _gather(x, starts + blocks.argmax(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +462,12 @@ def toposort(root: Tensor) -> list:
     return order
 
 
-def grad(
-    output: Tensor,
-    wrt: Sequence[Tensor],
-    create_graph: bool = False,
-    with_detached: bool = False,
-):
+def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list:
     """Gradients of a scalar output with respect to each tensor in wrt.
 
     With create_graph=True the returned gradients are themselves recorded
-    on the graph and can be differentiated again. Parameters with no path
-    to the output get a zero gradient plus a True entry in the detached
-    mask (requested via with_detached) rather than an error.
+    on the graph and can be differentiated again. Tensors with no path to
+    the output get a zero gradient rather than an error.
 
     Backward rules run only for nodes downstream of a wrt tensor, so none
     runs for the history behind a non-leaf wrt tensor. Each wrt gradient
@@ -547,8 +490,7 @@ def grad(
         if t.node is not None and any(id(p) in marked for p in t.node.parents):
             marked.add(id(t))
             downstream.append(t)
-    ctx = no_grad() if not create_graph else _null_ctx()
-    with ctx:
+    with nullcontext() if create_graph else no_grad():
         for t in reversed(downstream):
             g = grads.get(id(t))
             if g is None:
@@ -559,24 +501,4 @@ def grad(
                     continue
                 held = grads.get(id(p))
                 grads[id(p)] = pg if held is None else add(held, pg)
-        results = []
-        detached = []
-        for t in wrt:
-            g = grads.get(id(t))
-            if g is None:
-                results.append(Tensor(np.zeros(t.shape)))
-                detached.append(True)
-            else:
-                results.append(g)
-                detached.append(False)
-    if with_detached:
-        return results, detached
-    return results
-
-
-class _null_ctx:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+        return [grads[id(t)] if id(t) in grads else Tensor(np.zeros(t.shape)) for t in wrt]

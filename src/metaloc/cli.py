@@ -130,27 +130,48 @@ def _importance_doc(vector: meta.ImportanceVector, cfg: meta.MetaConfig, scenari
     }
 
 
+def _importance_field(doc: dict, path: Path, name: str, ndim=None):
+    """Field `name` as a float array of `ndim` axes, or a list of strings if ndim is None."""
+    if name not in doc:
+        raise DataFormatError(f"{path}: missing field {name!r}")
+    value = doc[name]
+    kind = {None: "a list of strings", 1: "a list of numbers", 2: "a list of rows of numbers"}[ndim]
+    try:
+        if ndim is None:
+            if isinstance(value, list) and all(isinstance(v, str) for v in value):
+                return value
+        else:
+            array = np.array(value, dtype=np.float64)  # null reads as NaN
+            if array.ndim == ndim:
+                return array
+    except (TypeError, ValueError):
+        pass
+    raise DataFormatError(f"{path}: field {name!r} is not {kind}")
+
+
 def _load_importance(path: Path, scenarios) -> meta.ImportanceVector:
     """The importance vector of a file written on these scenarios' samples.
 
-    A file from before task_digests were recorded is taken as it is.
+    A file from before task_digests were recorded is taken as it is. A
+    missing or mistyped field is a data error naming the file and the field.
     """
     doc = json.loads(path.read_text())
-    for task_id, digest, scenario in zip(doc["task_ids"], doc.get("task_digests", []), scenarios):
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: expected a JSON object, got a {type(doc).__name__}")
+    task_ids = _importance_field(doc, path, "task_ids")
+    digests = _importance_field(doc, path, "task_digests") if "task_digests" in doc else []
+    for task_id, digest, scenario in zip(task_ids, digests, scenarios):
         if digest != scenario.digest():
             raise DataFormatError(
                 f"{path}: task {task_id} was computed on other samples than "
                 f"scenario {scenario.id} of the training data (sha256 {digest[:12]}... "
                 f"vs {scenario.digest()[:12]}...)"
             )
-    matrix = np.array(
-        [[np.nan if v is None else v for v in row] for row in doc["loss_matrix"]]
-    )
     return meta.ImportanceVector(
-        values=np.asarray(doc["importance"], dtype=np.float64),
-        average_losses=np.asarray(doc["average_losses"], dtype=np.float64),
-        loss_matrix=matrix,
-        task_ids=list(doc["task_ids"]),
+        values=_importance_field(doc, path, "importance", 1),
+        average_losses=_importance_field(doc, path, "average_losses", 1),
+        loss_matrix=_importance_field(doc, path, "loss_matrix", 2),
+        task_ids=list(task_ids),
     )
 
 

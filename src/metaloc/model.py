@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .autodiff import (
     mse,
     no_grad,
     relu,
-    reshape,
     scale,
     sub,
 )
@@ -78,15 +77,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._items[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._items)
-
     def names(self) -> list:
         return list(self._items)
 
@@ -95,12 +85,6 @@ class ParamSet:
 
     def items(self):
         return self._items.items()
-
-    def clone(self) -> "ParamSet":
-        """Fresh leaf copies (values duplicated, no graph history)."""
-        return ParamSet(
-            {n: Tensor(t.data.copy(), requires_grad=True) for n, t in self.items()}
-        )
 
     def updated(self, grads: Sequence[Tensor], lr: float, graph: bool) -> "ParamSet":
         """One SGD step p - lr*g per tensor.
@@ -160,17 +144,9 @@ def validate_model_params(params: ParamSet) -> None:
 
 
 def predict(params: ParamSet, x) -> Tensor:
-    """Position estimates in cm for a (batch, 3, 30) stack of samples.
-
-    A single (3, 30) sample is accepted and yields shape (2,).
-    """
+    """Position estimates in cm, (batch, 2), for a (batch, 3, 30) stack of samples."""
     arr = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    single = arr.ndim == 2
-    if single:
-        if arr.shape != INPUT_SHAPE:
-            raise ShapeError(f"predict: sample shape {arr.shape}, expected {INPUT_SHAPE}")
-        arr = reshape(arr, (1,) + INPUT_SHAPE)
-    elif arr.ndim != 3 or arr.shape[1:] != INPUT_SHAPE:
+    if arr.ndim != 3 or arr.shape[1:] != INPUT_SHAPE:
         raise ShapeError(
             f"predict: batch shape {arr.shape}, expected (n,) + {INPUT_SHAPE}"
         )
@@ -182,8 +158,7 @@ def predict(params: ParamSet, x) -> Tensor:
     h = flatten(h)  # (B, 105)
     for layer in ("dense1", "dense2", "dense3", "dense4"):
         h = relu(add(matmul(h, params[f"{layer}.weight"]), params[f"{layer}.bias"]))
-    out = add(matmul(h, params["dense5.weight"]), params["dense5.bias"])
-    return reshape(out, (2,)) if single else out
+    return add(matmul(h, params["dense5.weight"]), params["dense5.bias"])
 
 
 def loss(params: ParamSet, batch) -> Tensor:
@@ -192,11 +167,7 @@ def loss(params: ParamSet, batch) -> Tensor:
     y = y if isinstance(y, Tensor) else Tensor(np.asarray(y, dtype=np.float64))
     if y.size == 0:
         raise ShapeError("loss: empty batch")
-    preds = predict(params, x)
-    if preds.ndim == 1:
-        preds = reshape(preds, (1, 2))
-        y = reshape(y, (1, 2))
-    out = mse(preds, y)
+    out = mse(predict(params, x), y)
     out.check_finite("loss evaluation")
     return out
 

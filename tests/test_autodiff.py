@@ -1,5 +1,7 @@
 """Op-level oracles and differentiation properties for the tensor engine."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -92,6 +94,8 @@ def test_shape_errors_name_op_and_extents():
         ad.matmul(ad.tensor(rand((2, 3))), ad.tensor(rand((2, 3))))
     with pytest.raises(ad.ShapeError, match="conv1d"):
         ad.conv1d(ad.tensor(rand((1, 4, 30))), ad.tensor(rand((10, 3, 3))))
+    with pytest.raises(ad.ShapeError, match=r"conv1d: length 2 \+ 2 \* padding 1 < kernel 5"):
+        ad.conv1d(ad.tensor(rand((1, 3, 2))), ad.tensor(rand((4, 3, 5))), padding=1)
     with pytest.raises(ad.ShapeError, match="mse"):
         ad.mse(ad.tensor(rand((2, 2))), ad.tensor(rand((3, 2))))
 
@@ -113,8 +117,7 @@ def test_detached_parameter_zero_grad_with_flag():
     x = ad.tensor([2.0], requires_grad=True)
     unused = ad.tensor([5.0], requires_grad=True)
     y = ad.sum_all(ad.mul(x, x))
-    grads, detached = ad.grad(y, [x, unused], with_detached=True)
-    assert detached == [False, True]
+    grads = ad.grad(y, [x, unused])
     assert np.array_equal(grads[1].data, [0.0])
     assert np.array_equal(grads[0].data, [4.0])
 
@@ -122,8 +125,8 @@ def test_detached_parameter_zero_grad_with_flag():
 def test_detached_non_leaf_zero_grad_with_flag():
     x = ad.tensor([2.0, -1.0], requires_grad=True)
     off_path = ad.mul(x, x)
-    grads, detached = ad.grad(ad.sum_all(x), [x, off_path], with_detached=True)
-    assert detached == [False, True]
+    grads = ad.grad(ad.sum_all(x), [x, off_path])
+    assert np.array_equal(grads[0].data, [1.0, 1.0])
     assert np.array_equal(grads[1].data, [0.0, 0.0])
 
 
@@ -218,6 +221,46 @@ def test_structured_op_gradcheck(shape_x, shape_w, make):
     numeric = fd_gradient(scalar, x0.copy())
     rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)
     assert rel.max() <= 1e-4
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+@pytest.mark.parametrize("length,kernel,padding", [(7, 3, 1), (6, 2, 2), (5, 3, 0)])
+def test_conv1d_input_gradient_sums_taps_in_order(length, kernel, padding, create_graph):
+    # bitwise oracle: per-window gradients from the same matmul, then added
+    # onto zeros tap by tap, j = 0 ... K-1, in padded coordinates, then cropped
+    rng = np.random.default_rng(41)
+    x0 = rng.uniform(-1, 1, (2, 3, length))
+    w0 = rng.uniform(-1, 1, (4, 3, kernel))
+    x = ad.tensor(x0, requires_grad=True)
+    y = ad.conv1d(x, ad.tensor(w0, requires_grad=True), padding=padding)
+    cot = rng.uniform(-1, 1, y.shape)
+    (gx,) = ad.grad(ad.sum_all(ad.mul(y, ad.tensor(cot))), [x], create_graph=create_graph)
+
+    batch, _, length_out = y.shape
+    rows = cot.transpose(0, 2, 1).reshape(batch * length_out, -1)
+    windows = (rows @ w0.reshape(4, -1)).reshape(batch, length_out, 3, kernel)
+    padded = np.zeros((2, 3, length + 2 * padding))
+    for j in range(kernel):
+        padded[..., j : j + length_out] += windows[..., j].transpose(0, 2, 1)
+    assert np.array_equal(gx.data, padded[..., padding : padding + length])
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+@pytest.mark.parametrize("kernel", [2, 3])
+def test_maxpool1d_input_gradient_is_put_at_argmax(kernel, create_graph):
+    rng = np.random.default_rng(43)
+    x0 = rng.uniform(-1, 1, (2, 3, 7))
+    x = ad.tensor(x0, requires_grad=True)
+    y = ad.maxpool1d(x, kernel)
+    cot = rng.uniform(-1, 1, y.shape)
+    (gx,) = ad.grad(ad.sum_all(ad.mul(y, ad.tensor(cot))), [x], create_graph=create_graph)
+
+    m = 7 // kernel
+    argmax = x0[..., : m * kernel].reshape(2, 3, m, kernel).argmax(axis=-1)
+    expected = np.zeros_like(x0)
+    for b, c, i in np.ndindex(argmax.shape):
+        expected[b, c, i * kernel + argmax[b, c, i]] = cot[b, c, i]
+    assert np.array_equal(gx.data, expected)
 
 
 def test_linearity_of_gradients():
@@ -329,7 +372,9 @@ def test_no_grad_suppresses_recording():
 # every op against central differences, first and second order
 
 # name -> (input shapes from the drawn dims, op over the input tensors);
-# r, c, k are matrix extents, n, ch, out_ch, length a conv or pool batch
+# r, c, k are matrix extents, n, ch, out_ch, length a conv or pool batch.
+# The conv and pool ops take the drawn dims first: kernel and padding are
+# a conv's, pool is a max pool's kernel
 OP_CASES = {
     "add": (lambda d: [(d["r"], d["c"]), (d["c"],)], ad.add),
     "sub": (lambda d: [(d["r"], d["c"])] * 2, ad.sub),
@@ -343,10 +388,13 @@ OP_CASES = {
     "sum_all": (lambda d: [(d["r"], d["c"])], ad.sum_all),
     "mean_all": (lambda d: [(d["r"], d["c"])], ad.mean_all),
     "mse": (lambda d: [(d["r"], d["c"])] * 2, ad.mse),
-    "maxpool1d": (lambda d: [(d["n"], d["ch"], d["length"])], lambda a: ad.maxpool1d(a, 2)),
+    "maxpool1d": (
+        lambda d: [(d["n"], d["ch"], d["length"])],
+        lambda d, a: ad.maxpool1d(a, d["pool"]),
+    ),
     "conv1d": (
-        lambda d: [(d["n"], d["ch"], d["length"]), (d["out_ch"], d["ch"], 3), (d["out_ch"],)],
-        lambda x, w, b: ad.conv1d(x, w, b, padding=1),
+        lambda d: [(d["n"], d["ch"], d["length"]), (d["out_ch"], d["ch"], d["kernel"]), (d["out_ch"],)],
+        lambda d, x, w, b: ad.conv1d(x, w, b, padding=d["padding"]),
     ),
 }
 
@@ -369,19 +417,28 @@ def assert_matches_fd(analytic, numeric, tol):
             "ch": st.integers(1, 2),
             "out_ch": st.integers(1, 2),
             "length": st.integers(2, 6),
+            "kernel": st.integers(1, 3),
+            "padding": st.integers(0, 2),
+            "pool": st.integers(2, 3),
         }
     ),
 )
 def test_op_gradients_match_finite_differences(name, seed, dims):
     shapes, op = OP_CASES[name]
+    if name in ("conv1d", "maxpool1d"):
+        op = functools.partial(op, dims)
+    if name == "conv1d":
+        assume(dims["length"] + 2 * dims["padding"] >= dims["kernel"])
+    if name == "maxpool1d":
+        assume(dims["length"] >= dims["pool"])  # lengths 2-6 include remainders
     rng = np.random.default_rng(seed)
     inputs = [rng.uniform(-1, 1, shape) for shape in shapes(dims)]
     if name == "relu":
         assume(np.abs(inputs[0]).min() > 1e-3)
     if name == "maxpool1d":
-        x = inputs[0]
-        pairs = x[..., : x.shape[-1] // 2 * 2].reshape(x.shape[:-1] + (-1, 2))
-        assume(np.abs(pairs[..., 0] - pairs[..., 1]).min() > 1e-3)
+        x, k = inputs[0], dims["pool"]
+        blocks = np.sort(x[..., : x.shape[-1] // k * k].reshape(x.shape[:-1] + (-1, k)))
+        assume(np.min(blocks[..., -1] - blocks[..., -2]) > 1e-3)  # no near-tie for the max
     proj = ad.tensor(rng.uniform(-1, 1, op(*map(ad.tensor, inputs)).shape))
     directions = [ad.tensor(rng.uniform(-1, 1, a.shape)) for a in inputs]
 

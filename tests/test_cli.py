@@ -200,6 +200,38 @@ def test_train_tb_maml_importance_of_other_rooms_is_error(tmp_path, capsys):
     assert main(argv) == 0
 
 
+IDS = ["scenario_000", "scenario_001", "scenario_002"]
+WELL_FORMED = {
+    "task_ids": IDS,
+    "importance": [0.5, 0.0, -0.5],
+    "average_losses": [1.0, 2.0, 3.0],
+    "loss_matrix": [[None, 1.0, 1.0], [2.0, None, 2.0], [3.0, 3.0, None]],
+}
+
+
+@pytest.mark.parametrize(
+    "doc,reason",
+    [
+        ({"task_ids": IDS}, "missing field 'importance'"),
+        ([IDS], "expected a JSON object, got a list"),
+        (dict(WELL_FORMED, importance="0.5"), "field 'importance' is not a list of numbers"),
+    ],
+    ids=["only-task-ids", "json-list", "importance-string"],
+)
+def test_train_tb_maml_malformed_importance_is_data_error(tmp_path, capsys, doc, reason):
+    data = gen(tmp_path)
+    imp = tmp_path / "importance.json"
+    imp.write_text(json.dumps(doc))
+    rc = main(
+        ["train", "--algo", "tb-maml", "--data", str(data), "--k", "1", "--importance", str(imp),
+         "--out", str(tmp_path / "o")] + FAST_FLAGS
+    )
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"{imp}: {reason}" in err
+    assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+
 def test_train_tb_maml_importance_of_same_rooms_is_accepted(tmp_path):
     data = gen(tmp_path, n=3, seed=1)
     imp = tmp_path / "importance.json"

@@ -62,7 +62,7 @@ def test_intermediate_shapes_follow_layer_table():
     assert h.shape == (1, 15, 7)
     h = ad.flatten(h)
     assert h.shape == (1, 105)
-    assert model.predict(params, np.zeros((3, 30))).shape == (2,)
+    assert model.predict(params, np.zeros((1, 3, 30))).shape == (1, 2)
     assert model.predict(params, np.zeros((6, 3, 30))).shape == (6, 2)
 
 
@@ -78,7 +78,7 @@ def test_forward_matches_plain_loop_reimplementation():
     """Independent forward oracle: nested loops, no engine ops."""
     params = model.init_params(11)
     rng = np.random.default_rng(4)
-    x = rng.random((3, 30))
+    x = rng.random((1, 3, 30))
 
     p = {n: t.data for n, t in params.items()}
 
@@ -106,7 +106,7 @@ def test_forward_matches_plain_loop_reimplementation():
                 out[c, i] = max(inp[c, 2 * i], inp[c, 2 * i + 1])
         return out
 
-    h = np.maximum(conv(x, p["conv1.weight"], p["conv1.bias"]), 0.0)
+    h = np.maximum(conv(x[0], p["conv1.weight"], p["conv1.bias"]), 0.0)
     h = pool(h)
     h = np.maximum(conv(h, p["conv2.weight"], p["conv2.bias"]), 0.0)
     h = pool(h)
@@ -115,7 +115,7 @@ def test_forward_matches_plain_loop_reimplementation():
         v = np.maximum(v @ p[f"{layer}.weight"] + p[f"{layer}.bias"], 0.0)
     expected = v @ p["dense5.weight"] + p["dense5.bias"]
 
-    got = model.predict(params, x).data
+    got = model.predict(params, x).data[0]
     assert np.abs(got - expected).max() <= 1e-10
 
 
@@ -153,6 +153,8 @@ def test_wrong_input_shape_rejected():
     params = model.init_params(0)
     with pytest.raises(ad.ShapeError):
         model.predict(params, np.zeros((4, 30)))
+    with pytest.raises(ad.ShapeError):
+        model.predict(params, np.zeros((3, 30)))  # one sample is a (1, 3, 30) batch
     with pytest.raises(ad.ShapeError):
         model.predict(params, np.zeros((2, 3, 29)))
 

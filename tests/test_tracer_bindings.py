@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -30,3 +32,17 @@ def test_tracer_rebinds_resolve_and_restore():
     finally:
         t.uninstall()
     assert all(getattr(modules[mod], attr) is fn for (mod, attr), fn in before.items())
+
+
+def test_tracer_counts_every_node_of_a_loss():
+    # the per-op nodes.* metrics count Node constructions through the tracer
+    tracer = load_tracer()
+    from metaloc import autodiff, model
+
+    params = model.init_params(0)
+    rng = np.random.default_rng(0)
+    batch = (rng.random((5, 3, 30)), rng.random((5, 2)))
+    with tracer.Tracer() as t:
+        loss = model.loss(params, batch)
+    counted = sum(n for bucket in t.nodes.values() for n in bucket.values())
+    assert counted == sum(1 for x in autodiff.toposort(loss) if x.node is not None) > 0
