@@ -428,6 +428,8 @@ def maxpool1d(x: Tensor, kernel: int = 2) -> Tensor:
     """Non-overlapping max pool over the last axis; floor length (15 -> 7)."""
     if x.ndim != 3:
         raise ShapeError(f"maxpool1d: input must be (batch, channels, length), got {x.shape}")
+    if kernel < 1:
+        raise ShapeError(f"maxpool1d: kernel {kernel} < 1")
     length = x.shape[-1]
     m = length // kernel
     if m == 0:

@@ -286,6 +286,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    try:
+        evaluation.worker_count()
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     scenarios = load_scenario_dir(args.data)
     algorithms, shots = args.algos, args.shots
     # the matrix and sweep experiments run at the first listed shot count

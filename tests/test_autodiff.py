@@ -98,6 +98,10 @@ def test_shape_errors_name_op_and_extents():
         ad.conv1d(ad.tensor(rand((1, 3, 2))), ad.tensor(rand((4, 3, 5))), padding=1)
     with pytest.raises(ad.ShapeError, match="mse"):
         ad.mse(ad.tensor(rand((2, 2))), ad.tensor(rand((3, 2))))
+    with pytest.raises(ad.ShapeError, match="maxpool1d: kernel 0 < 1"):
+        ad.maxpool1d(ad.tensor(rand((1, 2, 6))), 0)
+    with pytest.raises(ad.ShapeError, match="maxpool1d: kernel -1 < 1"):
+        ad.maxpool1d(ad.tensor(rand((1, 2, 6))), -1)
 
 
 def test_nonfinite_rejected_at_construction():

@@ -317,6 +317,18 @@ def test_bench_malformed_list_usage_error(tmp_path, flag, value):
     assert not out.exists()  # rejected before any work starts
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bench_bad_worker_count_usage_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("METALOC_THREADS", value)
+    out = tmp_path / "bench"
+    # the data directory does not exist: reading it first would be a data error (3)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--data", str(tmp_path / "missing"), "--out", str(out)] + FAST_FLAGS)
+    assert exc.value.code == 2
+    assert f"METALOC_THREADS must be a positive integer, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_deterministic_outputs(tmp_path):
     data = gen(tmp_path, n=4)
     outs = []

@@ -1,5 +1,8 @@
 """Metrics, report structure, and small-scale experiment wiring."""
 
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -185,6 +188,48 @@ def test_results_independent_of_worker_count(monkeypatch):
     assert len(entries_1) == len(evaluation.ALL_ALGORITHMS)
     assert entries_1 == entries_2
     assert np.array_equal(matrix_1, matrix_2)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_worker_count_rejects_non_positive_integers(monkeypatch, value):
+    monkeypatch.setenv("METALOC_THREADS", value)
+    with pytest.raises(ValueError, match=f"METALOC_THREADS must be a positive integer, got '{value}'"):
+        evaluation.worker_count()
+
+
+def test_worker_count_defaults_to_available_cpus(monkeypatch):
+    monkeypatch.delenv("METALOC_THREADS", raising=False)
+    assert evaluation.worker_count() == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("METALOC_THREADS", "3")
+    assert evaluation.worker_count() == 3
+
+
+def _blas_env(cell):
+    return cell, os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("caller", [None, "3"])
+def test_cells_run_in_one_blas_thread_workers(monkeypatch, caller):
+    if caller is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    for workers in (1, 2):
+        got = evaluation._run_cells(_blas_env, [4, 0, 3, 1, 2], workers)
+        assert got == [(cell, "1", "1") for cell in (4, 0, 3, 1, 2)]
+        assert dict(os.environ) == before
+
+
+def _exit_worker(cell):
+    os._exit(1)
+
+
+def test_pool_restarts_after_a_worker_dies():
+    with pytest.raises(BrokenProcessPool):
+        evaluation._run_cells(_exit_worker, [0], 1)
+    assert evaluation._run_cells(_blas_env, [0, 1], 1) == [(0, "1", "1"), (1, "1", "1")]
 
 
 # ---------------------------------------------------------------------------
