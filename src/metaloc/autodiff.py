@@ -16,14 +16,14 @@ path to the output, including paths through other requested tensors.
 The op family is exactly what the localization CNN and its MSE loss need:
 add, sub, scalar multiply, matmul, conv1d (stride 1, any kernel and
 padding), maxpool1d (non-overlapping, floor length), relu, flatten and mean
-squared error. One private pair moves entries by index: ``_gather`` copies
-each sample's entries at given flat positions, and ``_scatter``, its
-adjoint, sums them back; each is the other's backward rule. conv1d gathers
-its im2col windows and contracts them with one matmul. A tap off either end
-of a sample reads a zero placed after that sample, so padding is no op of
-its own. maxpool1d gathers at the argmax positions. ``_scatter`` sums the
-last index axis outermost, so an input position adds its kernel taps in
-tap order, 0 to K-1. Everything is float64; no broadcasting beyond bias
+squared error. conv1d is one node: its im2col rows, one slice copy per
+kernel tap with the padding left at zero, times the weight in one matmul.
+Its input and weight adjoints are private ops of their own; the three are
+bilinear, and each one's backward rule is written with the other two. The
+input adjoint sums an input position's kernel taps in tap order, 0 to K-1.
+maxpool1d picks each block's first maximum, as argmax does, with strict
+``>`` comparisons; the pick and the put that is its adjoint are each
+other's backward rule. Everything is float64; no broadcasting beyond bias
 addition is supported.
 """
 
@@ -213,6 +213,8 @@ def _broadcast_to(x: Tensor, shape: tuple) -> Tensor:
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape == b.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -279,18 +281,6 @@ def transpose(a: Tensor) -> Tensor:
     return _make(a.data.T, "transpose", (a,), vjp)
 
 
-def permute(a: Tensor, axes: tuple) -> Tensor:
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"permute: axes {axes} invalid for shape {a.shape}")
-    inverse = tuple(int(i) for i in np.argsort(axes))
-
-    def vjp(g: Tensor):
-        return (permute(g, inverse),)
-
-    return _make(np.transpose(a.data, axes), "permute", (a,), vjp)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = Tensor((a.data > 0).astype(np.float64))
 
@@ -348,42 +338,84 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 # convolution / pooling
 
 
-def _positions(index: np.ndarray, batch: int, per: int) -> np.ndarray:
-    """Per-sample positions as positions in the (batch, per) flattening."""
-    return index + per * np.arange(batch).reshape((batch,) + (1,) * (index.ndim - 1))
+def _tap_slices(length: int, kernel: int, padding: int, length_out: int):
+    """(tap j, output positions, input positions) of each tap inside the input.
 
-
-def _gather(x: Tensor, index: np.ndarray) -> Tensor:
-    """Entries of each sample x[b] picked by flat position: (B,) + index.shape[1:].
-
-    index has a leading axis of 1 (one index for every sample) or B.
-    Position x[b].size reads a zero placed after the sample.
+    Output position t reads input position t + j - padding at tap j; the
+    positions where that falls on the padding are left out of both slices.
     """
-    batch = x.shape[0]
-    flat = np.zeros((batch, int(np.prod(x.shape[1:])) + 1))
-    flat[:, :-1] = x.data.reshape(batch, -1)
+    for j in range(kernel):
+        lo, hi = max(0, padding - j), min(length_out, length + padding - j)
+        yield j, slice(lo, hi), slice(lo + j - padding, hi + j - padding)
+
+
+def _im2col(x: np.ndarray, kernel: int, padding: int, length_out: int) -> np.ndarray:
+    """(B*Lout, Cin*K) rows of im2col windows; a tap on the padding reads 0."""
+    batch, in_ch, length = x.shape
+    cols = np.zeros((batch, length_out, in_ch, kernel))
+    for j, out, inp in _tap_slices(length, kernel, padding, length_out):
+        cols[:, out, :, j] = x[:, :, inp].transpose(0, 2, 1)
+    return cols.reshape(batch * length_out, in_ch * kernel)
+
+
+def _rows(g: np.ndarray) -> np.ndarray:
+    """(B, C, Lout) output-shaped array as (B*Lout, C) matmul rows."""
+    return g.transpose(0, 2, 1).reshape(-1, g.shape[1])
+
+
+def _conv(x: Tensor, weight: Tensor, padding: int) -> Tensor:
+    """conv1d without bias: one im2col matmul, (B, Cin, L) -> (B, Cout, Lout)."""
+    batch, _, length = x.shape
+    out_ch, _, kernel = weight.shape
+    length_out = length + 2 * padding - kernel + 1
+    cols = _im2col(x.data, kernel, padding, length_out)
+    out = cols @ weight.data.reshape(out_ch, -1).T
+    data = out.reshape(batch, length_out, out_ch).transpose(0, 2, 1)
 
     def vjp(g: Tensor):
-        return (_scatter(g, index, x.shape),)
+        # an untracked input, such as the network's input batch, needs no adjoint
+        return (
+            _conv_input_grad(g, weight, length, padding) if x.requires_grad else None,
+            _conv_weight_grad(x, g, kernel, padding, cols) if weight.requires_grad else None,
+        )
 
-    return _make(flat.ravel()[_positions(index, *flat.shape)], "gather", (x,), vjp)
+    return _make(data, "conv1d", (x, weight), vjp)
 
 
-def _scatter(g: Tensor, index: np.ndarray, shape: tuple) -> Tensor:
-    """Adjoint of _gather: sum g onto the positions index picked, in `shape`.
+def _conv_input_grad(g: Tensor, weight: Tensor, length: int, padding: int) -> Tensor:
+    """Adjoint of _conv in its input: one matmul, then the taps summed in order.
 
-    The last index axis is summed outermost, so a position that several
-    kernel taps read adds their entries in tap order.
+    Each input position adds its taps' window gradients onto zeros in tap
+    order, 0 to K-1.
     """
-    batch = shape[0]
-    per = int(np.prod(shape[1:])) + 1
-    target = np.moveaxis(_positions(index, batch, per), -1, 0).ravel()
-    data = np.bincount(target, np.moveaxis(g.data, -1, 0).ravel(), minlength=batch * per)
+    batch, out_ch, length_out = g.shape
+    _, in_ch, kernel = weight.shape
+    windows = (_rows(g.data) @ weight.data.reshape(out_ch, -1)).reshape(
+        batch, length_out, in_ch, kernel
+    )
+    data = np.zeros((batch, in_ch, length))
+    for j, out, inp in _tap_slices(length, kernel, padding, length_out):
+        data[:, :, inp] += windows[:, out, :, j].transpose(0, 2, 1)
 
-    def vjp(g2: Tensor):
-        return (_gather(g2, index),)
+    def vjp(h: Tensor):
+        return (_conv(h, weight, padding), _conv_weight_grad(h, g, kernel, padding))
 
-    return _make(data.reshape(batch, per)[:, :-1].reshape(shape), "scatter", (g,), vjp)
+    return _make(data, "conv1d_input_grad", (g, weight), vjp)
+
+
+def _conv_weight_grad(
+    x: Tensor, g: Tensor, kernel: int, padding: int, cols: Optional[np.ndarray] = None
+) -> Tensor:
+    """Adjoint of _conv in its weight; cols are x's im2col rows when known."""
+    if cols is None:
+        cols = _im2col(x.data, kernel, padding, g.shape[-1])
+    out_ch, in_ch = g.shape[1], x.shape[1]
+    data = (cols.T @ _rows(g.data)).T.reshape(out_ch, in_ch, kernel)
+
+    def vjp(h: Tensor):
+        return (_conv_input_grad(g, h, x.shape[-1], padding), _conv(x, h, padding))
+
+    return _make(data, "conv1d_weight_grad", (x, g), vjp)
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: int = 1) -> Tensor:
@@ -404,39 +436,79 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
         raise ShapeError(
             f"conv1d: bias shape {bias.shape} != ({weight.shape[0]},)"
         )
-    batch, in_ch, length = x.shape
-    out_ch, _, kernel = weight.shape
+    length, kernel = x.shape[2], weight.shape[2]
+    if kernel < 1:
+        raise ShapeError(f"conv1d: kernel {kernel} < 1")
     if padding < 0:
         raise ShapeError(f"conv1d: padding {padding} < 0")
-    length_out = length + 2 * padding - kernel + 1
-    if length_out < 1:
+    if length + 2 * padding < kernel:
         raise ShapeError(f"conv1d: length {length} + 2 * padding {padding} < kernel {kernel}")
-    # im2col windows (B, Lout, Cin, K); a tap off either end reads the zero
-    taps = np.arange(length_out)[:, None, None] + np.arange(kernel) - padding
-    inside = (taps >= 0) & (taps < length)
-    index = np.where(inside, np.arange(in_ch)[:, None] * length + taps, in_ch * length)
-    # contraction as a BLAS matmul: rows are (batch, position), cols (channel, tap)
-    cols = reshape(_gather(x, index[None]), (batch * length_out, -1))
-    wmat = transpose(reshape(weight, (out_ch, -1)))
-    y = permute(reshape(matmul(cols, wmat), (batch, length_out, out_ch)), (0, 2, 1))
+    y = _conv(x, weight, padding)
     if bias is not None:
-        y = add(y, reshape(bias, (1, out_ch, 1)))
+        y = add(y, reshape(bias, (1, weight.shape[0], 1)))
     return y
 
 
+def _blocks(data: np.ndarray, kernel: int) -> np.ndarray:
+    """(B, C, m, K) view of the m whole pooling blocks of (B, C, L) data."""
+    m = data.shape[-1] // kernel
+    return data[..., : m * kernel].reshape(data.shape[:-1] + (m, kernel))
+
+
+def _pick(x: Tensor, masks: list, data: Optional[np.ndarray] = None) -> Tensor:
+    """The entry of each pooling block whose 0/1 tap mask is 1: (B, C, L) -> (B, C, m).
+
+    masks[j] is 1 where tap j is picked; data, when known, is the result.
+    """
+    if data is None:
+        blocks = _blocks(x.data, len(masks))
+        data = blocks[..., 0] * masks[0]
+        for j in range(1, len(masks)):
+            data += blocks[..., j] * masks[j]
+
+    def vjp(g: Tensor):
+        return (_put(g, masks, x.shape),)
+
+    return _make(data, "pick", (x,), vjp)
+
+
+def _put(g: Tensor, masks: list, shape: tuple) -> Tensor:
+    """Adjoint of _pick: g at each block's picked entry, zero elsewhere, in `shape`."""
+    data = np.zeros(shape)
+    blocks = _blocks(data, len(masks))
+    for j, mask in enumerate(masks):
+        np.multiply(g.data, mask, out=blocks[..., j])
+
+    def vjp(h: Tensor):
+        return (_pick(h, masks),)
+
+    return _make(data, "put", (g,), vjp)
+
+
 def maxpool1d(x: Tensor, kernel: int = 2) -> Tensor:
-    """Non-overlapping max pool over the last axis; floor length (15 -> 7)."""
+    """Non-overlapping max pool over the last axis; floor length (15 -> 7).
+
+    A block's first maximum is picked, as argmax picks, and gets the gradient.
+    """
     if x.ndim != 3:
         raise ShapeError(f"maxpool1d: input must be (batch, channels, length), got {x.shape}")
     if kernel < 1:
         raise ShapeError(f"maxpool1d: kernel {kernel} < 1")
-    length = x.shape[-1]
-    m = length // kernel
-    if m == 0:
-        raise ShapeError(f"maxpool1d: length {length} < kernel {kernel}")
-    blocks = x.data[..., : m * kernel].reshape(x.shape[:-1] + (m, kernel))
-    starts = np.arange(x.shape[1])[:, None] * length + np.arange(m) * kernel
-    return _gather(x, starts + blocks.argmax(axis=-1))
+    if x.shape[-1] < kernel:
+        raise ShapeError(f"maxpool1d: length {x.shape[-1]} < kernel {kernel}")
+    blocks = _blocks(x.data, kernel)
+    # a strict > moves the pick only past a larger value: ties keep the first
+    value, later = blocks[..., 0], []
+    for j in range(1, kernel):
+        later.append(blocks[..., j] > value)
+        value = np.maximum(value, blocks[..., j])
+    # tap j is picked where it beat the running maximum and no later tap did
+    masks, rest = [None] * kernel, 1.0
+    for j in range(kernel - 1, 0, -1):
+        masks[j] = later[j - 1] * rest
+        rest = rest - masks[j]
+    masks[0] = rest
+    return _pick(x, masks, value)
 
 
 # ---------------------------------------------------------------------------

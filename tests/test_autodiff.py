@@ -96,6 +96,8 @@ def test_shape_errors_name_op_and_extents():
         ad.conv1d(ad.tensor(rand((1, 4, 30))), ad.tensor(rand((10, 3, 3))))
     with pytest.raises(ad.ShapeError, match=r"conv1d: length 2 \+ 2 \* padding 1 < kernel 5"):
         ad.conv1d(ad.tensor(rand((1, 3, 2))), ad.tensor(rand((4, 3, 5))), padding=1)
+    with pytest.raises(ad.ShapeError, match="conv1d: kernel 0 < 1"):
+        ad.conv1d(ad.tensor(rand((1, 3, 5))), ad.tensor(np.zeros((4, 3, 0))))
     with pytest.raises(ad.ShapeError, match="mse"):
         ad.mse(ad.tensor(rand((2, 2))), ad.tensor(rand((3, 2))))
     with pytest.raises(ad.ShapeError, match="maxpool1d: kernel 0 < 1"):
@@ -267,6 +269,59 @@ def test_maxpool1d_input_gradient_is_put_at_argmax(kernel, create_graph):
     assert np.array_equal(gx.data, expected)
 
 
+@pytest.mark.parametrize("kernel", [2, 3])
+def test_maxpool1d_ties_pick_the_first_maximum(kernel):
+    # exact ties, including the all-zero blocks relu leaves before each pool
+    rng = np.random.default_rng(47)
+    x0 = np.maximum(rng.integers(-2, 3, (3, 4, 7)), 0).astype(float)
+    x0[0] = 0.0
+    m = 7 // kernel
+    blocks = x0[..., : m * kernel].reshape(3, 4, m, kernel)
+    assert (np.sum(blocks == blocks.max(axis=-1, keepdims=True), axis=-1) > 1).sum() > 8
+
+    def first_max(a):  # argmax oracle: the entry of each block argmax picks
+        picked = a[..., : m * kernel].reshape(blocks.shape)
+        return np.take_along_axis(picked, blocks.argmax(axis=-1)[..., None], -1)[..., 0]
+
+    cot = rng.uniform(-1, 1, (3, 4, m))
+    put = np.zeros_like(x0)
+    for b, c, i in np.ndindex(cot.shape):
+        put[b, c, i * kernel + blocks[b, c, i].argmax()] = cot[b, c, i]
+
+    x = ad.tensor(x0, requires_grad=True)
+    c = ad.tensor(cot, requires_grad=True)
+    y = ad.maxpool1d(x, kernel)
+    assert np.array_equal(y.data, first_max(x0))
+    for create_graph in (False, True):
+        (gx,) = ad.grad(ad.sum_all(ad.mul(y, c)), [x], create_graph=create_graph)
+        assert np.array_equal(gx.data, put)
+    # second order: d<gx, v>/d cot picks v at the same first maxima
+    v = rng.uniform(-1, 1, x0.shape)
+    (gc,) = ad.grad(ad.sum_all(ad.mul(gx, ad.tensor(v))), [c])
+    assert np.array_equal(gc.data, first_max(v))
+
+
+@pytest.mark.parametrize("length,kernel,padding", [(7, 3, 1), (6, 2, 2), (5, 3, 0)])
+def test_conv1d_weight_gradient_matches_window_oracle(length, kernel, padding):
+    # bitwise oracle: the im2col windows of x contracted with the cotangent
+    # rows as (windows.T @ rows).T; the bias gradient sums the cotangent
+    rng = np.random.default_rng(53)
+    x0 = rng.uniform(-1, 1, (2, 3, length))
+    w = ad.tensor(rng.uniform(-1, 1, (4, 3, kernel)), requires_grad=True)
+    b = ad.tensor(rng.uniform(-1, 1, 4), requires_grad=True)
+    y = ad.conv1d(ad.tensor(x0), w, b, padding=padding)
+    cot = rng.uniform(-1, 1, y.shape)
+    gw, gb = ad.grad(ad.sum_all(ad.mul(y, ad.tensor(cot))), [w, b])
+
+    batch, _, length_out = y.shape
+    padded = np.pad(x0, ((0, 0), (0, 0), (padding, padding)))
+    windows = np.stack([padded[..., j : j + length_out] for j in range(kernel)], axis=-1)
+    windows = windows.transpose(0, 2, 1, 3).reshape(batch * length_out, 3 * kernel)
+    rows = cot.transpose(0, 2, 1).reshape(batch * length_out, 4)
+    assert np.array_equal(gw.data, (windows.T @ rows).T.reshape(4, 3, kernel))
+    assert np.array_equal(gb.data, cot.sum(axis=0).sum(axis=-1))
+
+
 def test_linearity_of_gradients():
     rng = np.random.default_rng(13)
     x0 = rng.uniform(-1, 1, (4, 4))
@@ -386,7 +441,6 @@ OP_CASES = {
     "scale": (lambda d: [(d["r"], d["c"])], lambda a: ad.scale(a, 1.7)),
     "matmul": (lambda d: [(d["r"], d["k"]), (d["k"], d["c"])], ad.matmul),
     "transpose": (lambda d: [(d["r"], d["c"])], ad.transpose),
-    "permute": (lambda d: [(d["n"], d["ch"], d["length"])], lambda a: ad.permute(a, (2, 0, 1))),
     "reshape": (lambda d: [(d["r"], d["c"])], lambda a: ad.reshape(a, a.shape[::-1])),
     "relu": (lambda d: [(d["r"], d["c"])], ad.relu),
     "sum_all": (lambda d: [(d["r"], d["c"])], ad.sum_all),
