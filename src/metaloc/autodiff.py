@@ -282,14 +282,15 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = Tensor((a.data > 0).astype(np.float64))
-
     def vjp(g: Tensor):
         # mask is piecewise constant in the inputs, so treating it as a
         # constant is exact almost everywhere (and for second order too)
         return (mul(g, mask),)
 
-    return _make(np.maximum(a.data, 0.0), "relu", (a,), vjp)
+    out = _make(np.maximum(a.data, 0.0), "relu", (a,), vjp)
+    if out.node is not None:  # no node, no backward: skip the mask
+        mask = Tensor((a.data > 0).astype(np.float64))
+    return out
 
 
 def reshape(a: Tensor, shape) -> Tensor:

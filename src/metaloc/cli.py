@@ -290,18 +290,41 @@ def cmd_bench(args) -> int:
         evaluation.worker_count()
     except ValueError as e:
         raise UsageError(str(e)) from None
+    if args.matrix_scenarios < 2:
+        raise UsageError(f"--matrix-scenarios must be at least 2, got {args.matrix_scenarios}")
     scenarios = load_scenario_dir(args.data)
+    n = len(scenarios)
+    if not 0 < args.test_scenarios < n:
+        raise UsageError(f"--test-scenarios {args.test_scenarios} outside 1..{n - 1} for {n} scenarios")
+    available = n - args.test_scenarios
+    bad = [c for c in args.counts or () if not 1 <= c <= available]
+    if bad:
+        raise UsageError(
+            f"--counts {bad} outside 1..{available}, the training scenarios left of "
+            f"{n} after --test-scenarios {args.test_scenarios}"
+        )
     algorithms, shots = args.algos, args.shots
     # the matrix and sweep experiments run at the first listed shot count
     args.k = shots[0]
     cfg = _meta_config(args)
+    meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
+    plans = [
+        evaluation.benchmark_plan(
+            scenarios, algorithms, shots, args.repeats, cfg, test_count=args.test_scenarios
+        ),
+        evaluation.matrix_plan(scenarios[: args.matrix_scenarios], cfg, fine_tune_shots=0),
+    ]
+    if meta_algos and args.counts:
+        plans.append(
+            evaluation.sweep_plan(
+                scenarios, meta_algos, args.counts, args.repeats, cfg, test_count=args.test_scenarios
+            )
+        )
+    report, matrix, *sweep = evaluation.run_plans(*plans)
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
-
-    report = evaluation.benchmark(
-        scenarios, algorithms, shots, args.repeats, cfg, test_count=args.test_scenarios
-    )
     errors_path = out / "errors.csv"
     _write_csv(
         errors_path,
@@ -324,8 +347,6 @@ def cmd_bench(args) -> int:
     )
     outputs.append(cdf_path)
 
-    matrix_scenarios = scenarios[: args.matrix_scenarios]
-    matrix = evaluation.cross_scenario_matrix(matrix_scenarios, cfg, fine_tune_shots=0)
     matrix_path = out / "matrix.csv"
     _write_csv(
         matrix_path,
@@ -338,22 +359,15 @@ def cmd_bench(args) -> int:
     )
     outputs.append(matrix_path)
 
-    meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
     sweep_path = out / "sweep.csv"
-    if meta_algos and args.counts:
-        sweep = evaluation.task_count_sweep(
-            scenarios, meta_algos, args.counts, args.repeats, cfg, test_count=args.test_scenarios
-        )
-        _write_csv(
-            sweep_path,
-            ["algorithm", "task_count", "mean_error_cm"],
-            [
-                (algo, count, f"{sweep[(algo, count)]['mean_cm']:.6f}")
-                for algo, count in sorted(sweep)
-            ],
-        )
-    else:
-        _write_csv(sweep_path, ["algorithm", "task_count", "mean_error_cm"], [])
+    _write_csv(
+        sweep_path,
+        ["algorithm", "task_count", "mean_error_cm"],
+        [
+            (algo, count, f"{cell['mean_cm']:.6f}")
+            for (algo, count), cell in sorted(sweep[0].items() if sweep else ())
+        ],
+    )
     outputs.append(sweep_path)
 
     summary_path = out / "summary.json"
@@ -366,6 +380,8 @@ def cmd_bench(args) -> int:
             "shot_counts": shots,
             "repeats": args.repeats,
             "test_scenarios": args.test_scenarios,
+            "matrix_scenarios": args.matrix_scenarios,
+            "counts": args.counts,
             "data": str(args.data),
         }
     )

@@ -12,15 +12,23 @@ Every cell derives its randomness from (seed, repeat, scenario, shots)
 substreams, never from the algorithm, so all algorithms see identical
 partitions and identical k-shot support sets.
 
+Each experiment is also a plan (benchmark_plan, matrix_plan,
+sweep_plan): its checks run when the plan is built, and the plan is its
+cells plus a function that assembles the result from their outputs.
+run_plans runs the cells of any number of plans as one batch. Each of the
+three experiment functions runs its own plan; `metaloc bench` runs all
+three as one batch, so no worker idles at the end of one experiment
+while another's cells wait.
+
 Every cell runs in a spawned worker process with one BLAS thread
 (OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1 in the worker's
 environment). One pool serves the whole process: it starts on first use
-and the benchmark, the matrix and the sweep all reuse it. Because every
-worker count runs the same code at the same BLAS thread count, results
-do not depend on the number of workers (METALOC_THREADS). Under spawn a
-worker imports the caller's main module, so a script that calls
-benchmark, cross_scenario_matrix or task_count_sweep must keep that call
-under an `if __name__ == "__main__":` guard.
+and every batch reuses it. Because every worker count runs the same code
+at the same BLAS thread count, results do not depend on the number of
+workers (METALOC_THREADS). Under spawn a worker imports the caller's main
+module, so a script that calls benchmark, cross_scenario_matrix,
+task_count_sweep or run_plans must keep that call under an
+`if __name__ == "__main__":` guard.
 """
 
 from __future__ import annotations
@@ -50,6 +58,10 @@ __all__ = [
     "cross_scenario_matrix",
     "benchmark",
     "task_count_sweep",
+    "benchmark_plan",
+    "matrix_plan",
+    "sweep_plan",
+    "run_plans",
     "worker_count",
 ]
 
@@ -155,8 +167,8 @@ def worker_count() -> int:
     is a ValueError naming the variable and the value. Unset, it is the
     number of CPUs this process may run on. On a 2-CPU machine,
     `metaloc bench` at perfbench's BENCH_FLAGS on 6 generated scenarios
-    took a median 2.9 s (2.45-3.21 s) at 1 worker and 2.4 s (2.12-2.80 s)
-    at 2 workers, over 12 alternating runs each.
+    took a median 2.47 s (2.16-2.56 s) at 1 worker and 1.83 s
+    (1.61-2.42 s) at 2 workers, over 8 alternating runs each.
     """
     raw = os.environ.get("METALOC_THREADS")
     if raw is None:
@@ -216,6 +228,56 @@ def _run_cells(fn, cells, workers: int):
         raise
 
 
+def _call(job):
+    """Run one cell of any experiment: job is (cell function, cell)."""
+    fn, cell = job
+    return fn(cell)
+
+
+def run_plans(*plans) -> list:
+    """Run the cells of every plan as one pool batch; each plan's result, in order.
+
+    A plan is (jobs, assemble), as the *_plan functions return it: jobs
+    is a list of (cell function, cell) pairs, and assemble turns the
+    outputs of those jobs, in order, into the experiment's result. Every
+    check of every plan has run before the first cell is submitted, and
+    no worker waits for another experiment's last cell.
+    """
+    outputs = _run_cells(_call, [job for jobs, _ in plans for job in jobs], worker_count())
+    results, start = [], 0
+    for jobs, assemble in plans:
+        results.append(assemble(outputs[start : start + len(jobs)]))
+        start += len(jobs)
+    return results
+
+
+def _repeat_split(scenarios, cfg: MetaConfig, repeat: int, shots: int, test_count: int):
+    """One repeat's config (seeded by the repeat), task partition and test tasks.
+
+    The partition and the k-shot splits derive from (seed, repeat) only,
+    so every algorithm and every task count of a repeat shares them.
+    """
+    seed = substream_int(cfg.seed, "repeat", repeat)
+    task_set = partition_tasks(scenarios, test_count, substream_int(seed, "partition"))
+    test_tasks = [build_task_data(s, shots, seed) for s in task_set.test_scenarios()]
+    return replace(cfg, seed=seed, shots=shots), task_set, test_tasks
+
+
+def _meta_errors(scenarios, algorithm, shots, repeat, cfg, test_count, count=None) -> list:
+    """[(scenario id, errors)] of one repeat's test tasks, each adapted from
+    `algorithm` meta-trained on the repeat's training scenarios: all of
+    them, or the first `count` in a seeded order shared by every algorithm.
+    """
+    run_cfg, task_set, test_tasks = _repeat_split(scenarios, cfg, repeat, shots, test_count)
+    train = task_set
+    if count is not None:
+        candidates = task_set.train_scenarios()
+        order = substream(run_cfg.seed, "subsample", count).permutation(len(candidates))
+        train = [candidates[i] for i in order[:count]]
+    params = meta_train(algorithm, train, run_cfg)
+    return [(t.scenario_id, adapt_and_eval(params, t, run_cfg)) for t in test_tasks]
+
+
 # ---------------------------------------------------------------------------
 # experiment 1: cross-scenario generalization gap
 
@@ -231,6 +293,19 @@ def _matrix_cell(args):
     return np.array(row)
 
 
+def matrix_plan(scenarios, cfg, fine_tune_shots=0):
+    """cross_scenario_matrix as a plan for run_plans; its checks run here."""
+    scenarios = list(scenarios)
+    if len(scenarios) < 2:
+        raise ValueError("cross_scenario_matrix needs at least 2 scenarios")
+    if fine_tune_shots not in (0, cfg.shots):
+        raise ValueError(
+            f"fine_tune_shots must be 0 or cfg.shots={cfg.shots}, got {fine_tune_shots}"
+        )
+    jobs = [(_matrix_cell, (scenarios, cfg, fine_tune_shots, i)) for i in range(len(scenarios))]
+    return jobs, np.stack
+
+
 def cross_scenario_matrix(
     scenarios: Sequence[Scenario],
     cfg: MetaConfig,
@@ -242,16 +317,7 @@ def cross_scenario_matrix(
     fine_tune_shots must be 0 or cfg.shots (the split that defines each
     scenario's query set).
     """
-    scenarios = list(scenarios)
-    if len(scenarios) < 2:
-        raise ValueError("cross_scenario_matrix needs at least 2 scenarios")
-    if fine_tune_shots not in (0, cfg.shots):
-        raise ValueError(
-            f"fine_tune_shots must be 0 or cfg.shots={cfg.shots}, got {fine_tune_shots}"
-        )
-    cells = [(scenarios, cfg, fine_tune_shots, i) for i in range(len(scenarios))]
-    rows = _run_cells(_matrix_cell, cells, worker_count())
-    return np.stack(rows)
+    return run_plans(matrix_plan(scenarios, cfg, fine_tune_shots))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +327,55 @@ def cross_scenario_matrix(
 def _benchmark_cell(args):
     """One (repeat, algorithm, shots) cell; returns report entries."""
     scenarios, algorithm, shots, repeat, cfg, test_count = args
-    repeat_seed = substream_int(cfg.seed, "repeat", repeat)
-    run_cfg = replace(cfg, seed=repeat_seed, shots=shots)
-    task_set = partition_tasks(scenarios, test_count, substream_int(repeat_seed, "partition"))
-    test_tasks = [build_task_data(s, shots, repeat_seed) for s in task_set.test_scenarios()]
-
     if algorithm in meta.META_ALGORITHMS:
-        params = meta_train(algorithm, task_set, run_cfg)
-        results = [(t.scenario_id, adapt_and_eval(params, t, run_cfg)) for t in test_tasks]
+        results = _meta_errors(scenarios, algorithm, shots, repeat, cfg, test_count)
     elif algorithm == "conventional":
+        run_cfg, _, test_tasks = _repeat_split(scenarios, cfg, repeat, shots, test_count)
         results = [
             (t.scenario_id, _query_errors(meta.train_conventional(t, run_cfg), t)) for t in test_tasks
         ]
     elif algorithm == "transfer":
-        source = meta.pick_transfer_source(task_set.train_scenarios(), repeat_seed)
+        run_cfg, task_set, test_tasks = _repeat_split(scenarios, cfg, repeat, shots, test_count)
+        source = meta.pick_transfer_source(task_set.train_scenarios(), run_cfg.seed)
         results = meta.cross_transfer(
-            substream_int(repeat_seed, "init"), batch_from(source.samples), test_tasks,
+            substream_int(run_cfg.seed, "init"), batch_from(source.samples), test_tasks,
             run_cfg.baseline_epochs, run_cfg.finetune_epochs, run_cfg.baseline_lr,
             lambda tuned, task: (task.scenario_id, _query_errors(tuned, task)),
         )
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALL_ALGORITHMS}")
     return [(algorithm, shots, repeat, sid, errs) for sid, errs in results]
+
+
+def benchmark_plan(scenarios, algorithms, shot_counts, repeats, cfg, test_count=5):
+    """benchmark as a plan for run_plans; its checks run here."""
+    scenarios = list(scenarios)
+    for algorithm in algorithms:
+        if algorithm not in ALL_ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALL_ALGORITHMS}")
+    metadata = {
+        "algorithms": list(algorithms),
+        "shot_counts": [int(s) for s in shot_counts],
+        "repeats": int(repeats),
+        "test_count": int(test_count),
+        "seed": cfg.seed,
+        "scenario_count": len(scenarios),
+    }
+    jobs = [
+        (_benchmark_cell, (scenarios, algorithm, shots, repeat, cfg, test_count))
+        for repeat in range(repeats)
+        for algorithm in algorithms
+        for shots in shot_counts
+    ]
+
+    def assemble(groups) -> EvalReport:
+        report = EvalReport(metadata=metadata)
+        for group in groups:
+            for entry in group:
+                report.add(*entry)
+        return report
+
+    return jobs, assemble
 
 
 def benchmark(
@@ -298,30 +391,7 @@ def benchmark(
     Each repeat re-partitions the scenarios into meta-train/meta-test and
     re-derives every split; all algorithms inside a repeat share them.
     """
-    scenarios = list(scenarios)
-    for algorithm in algorithms:
-        if algorithm not in ALL_ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALL_ALGORITHMS}")
-    report = EvalReport(
-        metadata={
-            "algorithms": list(algorithms),
-            "shot_counts": [int(s) for s in shot_counts],
-            "repeats": int(repeats),
-            "test_count": int(test_count),
-            "seed": cfg.seed,
-            "scenario_count": len(scenarios),
-        }
-    )
-    cells = [
-        (scenarios, algorithm, shots, repeat, cfg, test_count)
-        for repeat in range(repeats)
-        for algorithm in algorithms
-        for shots in shot_counts
-    ]
-    for group in _run_cells(_benchmark_cell, cells, worker_count()):
-        for algorithm, shots, repeat, sid, errs in group:
-            report.add(algorithm, shots, repeat, sid, errs)
-    return report
+    return run_plans(benchmark_plan(scenarios, algorithms, shot_counts, repeats, cfg, test_count))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +400,42 @@ def benchmark(
 
 def _sweep_cell(args):
     scenarios, algorithm, count, repeat, cfg, test_count = args
-    repeat_seed = substream_int(cfg.seed, "repeat", repeat)
-    run_cfg = replace(cfg, seed=repeat_seed)
-    task_set = partition_tasks(scenarios, test_count, substream_int(repeat_seed, "partition"))
-    train = task_set.train_scenarios()
-    # same subsampled task subset for every algorithm at a given seed/count
-    order = substream(repeat_seed, "subsample", count).permutation(len(train))
-    subset = [train[i] for i in order[:count]]
-    test_tasks = [
-        build_task_data(s, cfg.shots, repeat_seed) for s in task_set.test_scenarios()
+    results = _meta_errors(scenarios, algorithm, cfg.shots, repeat, cfg, test_count, count)
+    return algorithm, count, repeat, np.concatenate([errs for _, errs in results])
+
+
+def sweep_plan(scenarios, algorithms, counts, repeats, cfg, test_count=5):
+    """task_count_sweep as a plan for run_plans; its checks run here."""
+    scenarios = list(scenarios)
+    for algorithm in algorithms:
+        if algorithm not in meta.META_ALGORITHMS:
+            raise ValueError(f"task_count_sweep is for meta-learners, got {algorithm!r}")
+    if min(counts) < 1:
+        raise ValueError(f"task counts must be at least 1, got {min(counts)}")
+    available = len(scenarios) - test_count
+    if max(counts) > available:
+        raise ValueError(
+            f"max count {max(counts)} exceeds available training scenarios {available}"
+        )
+    jobs = [
+        (_sweep_cell, (scenarios, algorithm, int(count), repeat, cfg, test_count))
+        for repeat in range(repeats)
+        for algorithm in algorithms
+        for count in counts
     ]
-    params = meta_train(algorithm, subset, run_cfg)
-    errors = np.concatenate([adapt_and_eval(params, t, run_cfg) for t in test_tasks])
-    return algorithm, count, repeat, errors
+
+    def assemble(outputs) -> dict:
+        pooled: dict = {}
+        for algorithm, count, repeat, errors in outputs:
+            slot = pooled.setdefault((algorithm, count), {"per_repeat": [], "errors": []})
+            slot["per_repeat"].append(float(np.mean(errors)))
+            slot["errors"].extend(float(e) for e in errors)
+        return {
+            key: {"mean_cm": float(np.mean(val["errors"])), "per_repeat": val["per_repeat"]}
+            for key, val in pooled.items()
+        }
+
+    return jobs, assemble
 
 
 def task_count_sweep(
@@ -357,32 +450,4 @@ def task_count_sweep(
 
     Returns {(algorithm, count): {"mean_cm", "per_repeat": [...]}}.
     """
-    scenarios = list(scenarios)
-    for algorithm in algorithms:
-        if algorithm not in meta.META_ALGORITHMS:
-            raise ValueError(f"task_count_sweep is for meta-learners, got {algorithm!r}")
-    available = len(scenarios) - test_count
-    if max(counts) > available:
-        raise ValueError(
-            f"max count {max(counts)} exceeds available training scenarios {available}"
-        )
-    cells = [
-        (scenarios, algorithm, int(count), repeat, cfg, test_count)
-        for repeat in range(repeats)
-        for algorithm in algorithms
-        for count in counts
-    ]
-    pooled: dict = {}
-    for algorithm, count, repeat, errors in _run_cells(_sweep_cell, cells, worker_count()):
-        slot = pooled.setdefault(
-            (algorithm, count), {"per_repeat": [], "errors": []}
-        )
-        slot["per_repeat"].append(float(np.mean(errors)))
-        slot["errors"].extend(float(e) for e in errors)
-    return {
-        key: {
-            "mean_cm": float(np.mean(val["errors"])),
-            "per_repeat": val["per_repeat"],
-        }
-        for key, val in pooled.items()
-    }
+    return run_plans(sweep_plan(scenarios, algorithms, counts, repeats, cfg, test_count))[0]

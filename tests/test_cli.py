@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metaloc import evaluation
 from metaloc.cli import main
 
 FAST_FLAGS = [
@@ -290,6 +291,9 @@ def test_bench_emits_all_csvs(tmp_path):
     sweep_rows = (out / "sweep.csv").read_text().splitlines()
     assert sweep_rows[0] == "algorithm,task_count,mean_error_cm"
     assert len(sweep_rows) == 2  # one meta algorithm, one count
+    # the manifest holds every flag the matrix and the sweep depend on
+    config = json.loads((out / "run.json").read_text())["config"]
+    assert (config["matrix_scenarios"], config["counts"]) == (2, [2])
 
 
 def test_bench_transfer_zero_shots(tmp_path):
@@ -303,6 +307,51 @@ def test_bench_transfer_zero_shots(tmp_path):
     assert rc == 0
     # zero-shot: every sample of the one test scenario is query
     assert len((out / "errors.csv").read_text().splitlines()) - 1 == 48
+
+
+def test_bench_runs_every_cell_in_one_batch(tmp_path, monkeypatch):
+    data = gen(tmp_path, n=4)
+    batches = []
+    run_cells = evaluation._run_cells
+
+    def recording(fn, cells, workers):
+        batches.append(len(cells))
+        return run_cells(fn, cells, workers)
+
+    monkeypatch.setattr(evaluation, "_run_cells", recording)
+    rc = main(
+        ["bench", "--data", str(data), "--algos", "conventional,fomaml", "--shots", "1",
+         "--repeats", "1", "--out", str(tmp_path / "bench"), "--test-scenarios", "1",
+         "--matrix-scenarios", "2", "--counts", "2"] + FAST_FLAGS
+    )
+    assert rc == 0
+    # 2 benchmark cells (2 algorithms, 1 shot count), 2 matrix rows, 1 sweep cell
+    assert batches == [5]
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--counts", "4"], "--counts [4] outside 1..3"),
+        (["--counts", "2,0"], "--counts [0] outside 1..3"),
+        (["--test-scenarios", "2", "--counts", "3"], "--counts [3] outside 1..2"),
+        (["--test-scenarios", "4"], "--test-scenarios 4 outside 1..3 for 4 scenarios"),
+        (["--matrix-scenarios", "1"], "--matrix-scenarios must be at least 2, got 1"),
+    ],
+    ids=["count-above-training", "count-zero", "count-above-fewer-training", "no-training-scenario",
+         "one-matrix-scenario"],
+)
+def test_bench_bad_experiment_flags_fail_before_any_work(tmp_path, monkeypatch, capsys, flags, reason):
+    data = gen(tmp_path, n=4)
+    out = tmp_path / "bench"
+    submitted = []
+    monkeypatch.setattr(evaluation, "_run_cells", lambda fn, cells, workers: submitted.append(cells))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--data", str(data), "--algos", "conventional,fomaml", "--shots", "1",
+              "--repeats", "1", "--out", str(out), "--test-scenarios", "1"] + flags + FAST_FLAGS)
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
+    assert submitted == [] and not out.exists()
 
 
 @pytest.mark.parametrize(

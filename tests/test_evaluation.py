@@ -176,18 +176,33 @@ def test_benchmark_maml_vs_tb_gamma_zero_identical_errors():
 
 
 def test_results_independent_of_worker_count(monkeypatch):
+    # each experiment alone and all three as one batch, at 1 and 2 workers
     scenarios = small_scenarios(4)
     cfg = quick_cfg()
+    bench_args = (scenarios, evaluation.ALL_ALGORITHMS, [1], 1, cfg, 1)
+    matrix_args = (scenarios[:2], cfg, 1)
+    sweep_args = (scenarios, ["fomaml"], [2], 1, cfg, 1)
     runs = []
     for workers in ("1", "2"):
         monkeypatch.setenv("METALOC_THREADS", workers)
-        report = benchmark(scenarios, evaluation.ALL_ALGORITHMS, [1], repeats=1, cfg=cfg, test_count=1)
-        matrix = cross_scenario_matrix(scenarios[:2], cfg, fine_tune_shots=1)
-        runs.append((report.entries, matrix))
-    (entries_1, matrix_1), (entries_2, matrix_2) = runs
+        report = benchmark(*bench_args)
+        matrix = cross_scenario_matrix(*matrix_args)
+        sweep = evaluation.task_count_sweep(*sweep_args)
+        batch = evaluation.run_plans(
+            evaluation.benchmark_plan(*bench_args),
+            evaluation.matrix_plan(*matrix_args),
+            evaluation.sweep_plan(*sweep_args),
+        )
+        assert batch[0].entries == report.entries
+        assert batch[0].metadata == report.metadata
+        assert np.array_equal(batch[1], matrix)
+        assert batch[2] == sweep
+        runs.append((report.entries, matrix, sweep))
+    (entries_1, matrix_1, sweep_1), (entries_2, matrix_2, sweep_2) = runs
     assert len(entries_1) == len(evaluation.ALL_ALGORITHMS)
     assert entries_1 == entries_2
     assert np.array_equal(matrix_1, matrix_2)
+    assert sweep_1 == sweep_2
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
@@ -251,6 +266,10 @@ def test_sweep_structure_and_shared_subsets():
     with pytest.raises(ValueError, match="meta-learners"):
         evaluation.task_count_sweep(
             scenarios, ["conventional"], counts=[2], repeats=1, cfg=cfg, test_count=2
+        )
+    with pytest.raises(ValueError, match="at least 1, got 0"):
+        evaluation.task_count_sweep(
+            scenarios, ["fomaml"], counts=[0, 2], repeats=1, cfg=cfg, test_count=2
         )
 
 
