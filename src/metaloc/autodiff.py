@@ -152,7 +152,7 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # the trainers sum losses and gradients with +
+    # the meta-learners sum their per-task gradients with +
     def __add__(self, other):
         return add(self, _coerce(other))
 

@@ -292,6 +292,14 @@ def cmd_bench(args) -> int:
         raise UsageError(str(e)) from None
     if args.matrix_scenarios < 2:
         raise UsageError(f"--matrix-scenarios must be at least 2, got {args.matrix_scenarios}")
+    algorithms, shots = args.algos, args.shots
+    meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
+    # a meta-learner adapts on each task's support set, empty at 0 shots
+    least = 1 if meta_algos else 0
+    bad = [k for k in shots if k < least]
+    if bad:
+        why = f" with meta-learners {meta_algos}" if meta_algos else ""
+        raise UsageError(f"--shots {bad} below {least}{why}")
     scenarios = load_scenario_dir(args.data)
     n = len(scenarios)
     if not 0 < args.test_scenarios < n:
@@ -303,11 +311,9 @@ def cmd_bench(args) -> int:
             f"--counts {bad} outside 1..{available}, the training scenarios left of "
             f"{n} after --test-scenarios {args.test_scenarios}"
         )
-    algorithms, shots = args.algos, args.shots
     # the matrix and sweep experiments run at the first listed shot count
     args.k = shots[0]
     cfg = _meta_config(args)
-    meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
     plans = [
         evaluation.benchmark_plan(
             scenarios, algorithms, shots, args.repeats, cfg, test_count=args.test_scenarios

@@ -93,11 +93,9 @@ class EvalReport:
     """Per-(algorithm, shots) error populations plus summaries.
 
     entries: records {algorithm, shots, repeat, scenario, errors}.
-    metadata: seeds/config of the run that produced the report.
     """
 
     entries: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def add(self, algorithm: str, shots: int, repeat: int, scenario: str, errors) -> None:
         self.entries.append(
@@ -252,15 +250,15 @@ def run_plans(*plans) -> list:
 
 
 def _repeat_split(scenarios, cfg: MetaConfig, repeat: int, shots: int, test_count: int):
-    """One repeat's config (seeded by the repeat), task partition and test tasks.
+    """One repeat's config (seeded by the repeat), training scenarios and test tasks.
 
     The partition and the k-shot splits derive from (seed, repeat) only,
     so every algorithm and every task count of a repeat shares them.
     """
     seed = substream_int(cfg.seed, "repeat", repeat)
-    task_set = partition_tasks(scenarios, test_count, substream_int(seed, "partition"))
-    test_tasks = [build_task_data(s, shots, seed) for s in task_set.test_scenarios()]
-    return replace(cfg, seed=seed, shots=shots), task_set, test_tasks
+    train, test = partition_tasks(scenarios, test_count, substream_int(seed, "partition"))
+    test_tasks = [build_task_data(s, shots, seed) for s in test]
+    return replace(cfg, seed=seed, shots=shots), train, test_tasks
 
 
 def _meta_errors(scenarios, algorithm, shots, repeat, cfg, test_count, count=None) -> list:
@@ -268,12 +266,10 @@ def _meta_errors(scenarios, algorithm, shots, repeat, cfg, test_count, count=Non
     `algorithm` meta-trained on the repeat's training scenarios: all of
     them, or the first `count` in a seeded order shared by every algorithm.
     """
-    run_cfg, task_set, test_tasks = _repeat_split(scenarios, cfg, repeat, shots, test_count)
-    train = task_set
+    run_cfg, train, test_tasks = _repeat_split(scenarios, cfg, repeat, shots, test_count)
     if count is not None:
-        candidates = task_set.train_scenarios()
-        order = substream(run_cfg.seed, "subsample", count).permutation(len(candidates))
-        train = [candidates[i] for i in order[:count]]
+        order = substream(run_cfg.seed, "subsample", count).permutation(len(train))
+        train = [train[i] for i in order[:count]]
     params = meta_train(algorithm, train, run_cfg)
     return [(t.scenario_id, adapt_and_eval(params, t, run_cfg)) for t in test_tasks]
 
@@ -335,8 +331,8 @@ def _benchmark_cell(args):
             (t.scenario_id, _query_errors(meta.train_conventional(t, run_cfg), t)) for t in test_tasks
         ]
     elif algorithm == "transfer":
-        run_cfg, task_set, test_tasks = _repeat_split(scenarios, cfg, repeat, shots, test_count)
-        source = meta.pick_transfer_source(task_set.train_scenarios(), run_cfg.seed)
+        run_cfg, train, test_tasks = _repeat_split(scenarios, cfg, repeat, shots, test_count)
+        source = meta.pick_transfer_source(train, run_cfg.seed)
         results = meta.cross_transfer(
             substream_int(run_cfg.seed, "init"), batch_from(source.samples), test_tasks,
             run_cfg.baseline_epochs, run_cfg.finetune_epochs, run_cfg.baseline_lr,
@@ -347,35 +343,28 @@ def _benchmark_cell(args):
     return [(algorithm, shots, repeat, sid, errs) for sid, errs in results]
 
 
+def _report_from(groups) -> EvalReport:
+    """The EvalReport of benchmark cell outputs, in cell order."""
+    report = EvalReport()
+    for group in groups:
+        for entry in group:
+            report.add(*entry)
+    return report
+
+
 def benchmark_plan(scenarios, algorithms, shot_counts, repeats, cfg, test_count=5):
     """benchmark as a plan for run_plans; its checks run here."""
     scenarios = list(scenarios)
     for algorithm in algorithms:
         if algorithm not in ALL_ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALL_ALGORITHMS}")
-    metadata = {
-        "algorithms": list(algorithms),
-        "shot_counts": [int(s) for s in shot_counts],
-        "repeats": int(repeats),
-        "test_count": int(test_count),
-        "seed": cfg.seed,
-        "scenario_count": len(scenarios),
-    }
     jobs = [
         (_benchmark_cell, (scenarios, algorithm, shots, repeat, cfg, test_count))
         for repeat in range(repeats)
         for algorithm in algorithms
         for shots in shot_counts
     ]
-
-    def assemble(groups) -> EvalReport:
-        report = EvalReport(metadata=metadata)
-        for group in groups:
-            for entry in group:
-                report.add(*entry)
-        return report
-
-    return jobs, assemble
+    return jobs, _report_from
 
 
 def benchmark(

@@ -32,7 +32,7 @@ import numpy as np
 from .autodiff import Tensor, grad, no_grad
 from .model import ParamSet, init_params, loss as model_loss, predict_positions
 from .seeding import substream, substream_int
-from .tasks import Scenario, TaskSet, batch_from, split_task
+from .tasks import Scenario, batch_from, split_task
 
 logger = logging.getLogger(__name__)
 
@@ -254,31 +254,20 @@ def _meta_gradients(
 
     Second order differentiates through the adaptation; first order takes
     the query gradients at the adapted weights (which line up with the
-    initialization tensor-for-tensor).
+    initialization tensor-for-tensor). Either way each task's gradient is
+    taken as soon as that task is adapted, and the gradients are summed in
+    task order, so peak memory is one task's graph, not the meta-batch's.
     """
-    query_losses = []
-    if second_order:
-        total = None
-        for task in tasks:
-            adapted = inner_adapt(
-                params, task.support, cfg.alpha, cfg.inner_steps,
-                create_graph=True, loss_fn=loss_fn,
-            )
-            q = loss_fn(adapted, task.query)
-            query_losses.append(q.item())
-            total = q if total is None else total + q
-        grads = grad(total, params.tensors())
-    else:
-        grads = None
-        for task in tasks:
-            adapted = inner_adapt(
-                params, task.support, cfg.alpha, cfg.inner_steps,
-                create_graph=False, loss_fn=loss_fn,
-            )
-            q = loss_fn(adapted, task.query)
-            query_losses.append(q.item())
-            g = grad(q, adapted.tensors())
-            grads = g if grads is None else [a + b for a, b in zip(grads, g)]
+    grads, query_losses = None, []
+    for task in tasks:
+        adapted = inner_adapt(
+            params, task.support, cfg.alpha, cfg.inner_steps,
+            create_graph=second_order, loss_fn=loss_fn,
+        )
+        q = loss_fn(adapted, task.query)
+        query_losses.append(q.item())
+        g = grad(q, (params if second_order else adapted).tensors())
+        grads = g if grads is None else [a + b for a, b in zip(grads, g)]
     return grads, query_losses
 
 
@@ -339,30 +328,24 @@ def compute_importance(scenarios: Sequence[Scenario], cfg: MetaConfig) -> Import
     )
 
 
-def _training_scenarios(task_set) -> list:
-    if isinstance(task_set, TaskSet):
-        return task_set.train_scenarios()
-    return list(task_set)
-
-
 def meta_train(
     algorithm: str,
-    task_set,
+    scenarios: Sequence[Scenario],
     cfg: MetaConfig,
     importance: Optional[ImportanceVector] = None,
     trace: Optional[list] = None,
 ) -> ParamSet:
     """Run one meta-training loop and return the learned initialization.
 
-    task_set is a TaskSet (its training half is used) or a plain scenario
-    list. Stops after meta_iterations, or earlier once the moving-average
-    query loss over the last convergence_window iterations improves by
-    less than convergence_tol versus the window before it. Appends
-    (iteration, task_id, query_loss) rows to `trace` when given.
+    scenarios are the meta-training tasks. Stops after meta_iterations, or
+    earlier once the moving-average query loss over the last
+    convergence_window iterations improves by less than convergence_tol
+    versus the window before it. Appends (iteration, task_id, query_loss)
+    rows to `trace` when given.
     """
     if algorithm not in META_ALGORITHMS:
         raise ValueError(f"unknown meta algorithm {algorithm!r}; expected {META_ALGORITHMS}")
-    scenarios = _training_scenarios(task_set)
+    scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("meta_train: empty meta-training set")
     if cfg.shots < 1:

@@ -37,7 +37,6 @@ __all__ = [
     "ChannelConfig",
     "SAMPLE_DTYPE",
     "Scenario",
-    "TaskSet",
     "generate_scenario",
     "normalize",
     "split_task",
@@ -116,22 +115,6 @@ class Scenario:
         """Records per reference point, keyed by rp in ascending order."""
         rps = self.samples["rp"]
         return {int(rp): self.samples[rps == rp] for rp in np.unique(rps)}
-
-
-@dataclass
-class TaskSet:
-    """Scenario list with a disjoint train/test partition over indices."""
-
-    scenarios: list
-    train_indices: list
-    test_indices: list
-    seed: int
-
-    def train_scenarios(self) -> list:
-        return [self.scenarios[i] for i in self.train_indices]
-
-    def test_scenarios(self) -> list:
-        return [self.scenarios[i] for i in self.test_indices]
 
 
 def _segment_crosses_line(p0, p1, anchor, direction) -> bool:
@@ -260,16 +243,18 @@ def split_task(scenario: Scenario, k: int, seed: int) -> tuple:
     return np.concatenate(support), np.concatenate(query)
 
 
-def partition_tasks(scenarios: Sequence[Scenario], test_count: int, seed: int) -> TaskSet:
+def partition_tasks(scenarios: Sequence[Scenario], test_count: int, seed: int) -> tuple:
+    """Seeded disjoint (train, test) scenario lists, each in input order."""
     scenarios = list(scenarios)
     if not 0 < test_count < len(scenarios):
         raise ValueError(
             f"test_count must be in (0, {len(scenarios)}), got {test_count}"
         )
-    order = np.random.default_rng(seed).permutation(len(scenarios))
-    test = sorted(int(i) for i in order[:test_count])
-    train = sorted(int(i) for i in order[test_count:])
-    return TaskSet(scenarios=scenarios, train_indices=train, test_indices=test, seed=seed)
+    test = set(np.random.default_rng(seed).permutation(len(scenarios))[:test_count].tolist())
+    return (
+        [s for i, s in enumerate(scenarios) if i not in test],
+        [s for i, s in enumerate(scenarios) if i in test],
+    )
 
 
 def batch_from(records: np.ndarray):

@@ -337,9 +337,12 @@ def test_bench_runs_every_cell_in_one_batch(tmp_path, monkeypatch):
         (["--test-scenarios", "2", "--counts", "3"], "--counts [3] outside 1..2"),
         (["--test-scenarios", "4"], "--test-scenarios 4 outside 1..3 for 4 scenarios"),
         (["--matrix-scenarios", "1"], "--matrix-scenarios must be at least 2, got 1"),
+        (["--shots", "0"], "--shots [0] below 1"),
+        (["--shots", "1,-1"], "--shots [-1] below 1 with meta-learners ['fomaml']"),
+        (["--algos", "conventional", "--shots", "2,-1"], "--shots [-1] below 0"),
     ],
     ids=["count-above-training", "count-zero", "count-above-fewer-training", "no-training-scenario",
-         "one-matrix-scenario"],
+         "one-matrix-scenario", "zero-shots-meta", "negative-later-shots", "negative-shots-baseline"],
 )
 def test_bench_bad_experiment_flags_fail_before_any_work(tmp_path, monkeypatch, capsys, flags, reason):
     data = gen(tmp_path, n=4)

@@ -194,7 +194,6 @@ def test_results_independent_of_worker_count(monkeypatch):
             evaluation.sweep_plan(*sweep_args),
         )
         assert batch[0].entries == report.entries
-        assert batch[0].metadata == report.metadata
         assert np.array_equal(batch[1], matrix)
         assert batch[2] == sweep
         runs.append((report.entries, matrix, sweep))

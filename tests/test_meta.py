@@ -1,6 +1,7 @@
 """Trainer math on closed-form toys, importance algebra, reductions."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,3 +424,46 @@ def test_cnn_meta_gradient_matches_finite_difference():
     h = 1e-6
     numeric = (query_loss(h) - query_loss(-h)) / (2 * h)
     assert analytic == pytest.approx(numeric, rel=1e-5)
+
+
+def test_second_order_meta_gradient_matches_summed_loss_oracle():
+    # the meta-objective is the sum of the query losses: one grad of that sum,
+    # every task's graph held at once, equals the per-task gradients summed
+    cfg = MetaConfig(inner_steps=2, shots=1)
+    params = model.init_params(3)
+    batch = [
+        meta.build_task_data(tasks.generate_scenario(seed, tasks.ChannelConfig()), 1, 0)
+        for seed in (21, 22, 23)
+    ]
+    batch = [dataclasses.replace(t, query=(t.query[0][:60], t.query[1][:60])) for t in batch]
+    total, expected_losses = None, []
+    for task in batch:
+        adapted = meta.inner_adapt(params, task.support, cfg.alpha, cfg.inner_steps, create_graph=True)
+        q = model.loss(adapted, task.query)
+        expected_losses.append(q.item())
+        total = q if total is None else ad.add(total, q)
+    expected = ad.grad(total, params.tensors())
+    grads, losses = meta._meta_gradients(params, batch, cfg, True, meta._default_loss)
+    assert losses == expected_losses
+    # only the order of summation differs; its rounding scales with the
+    # summands, so the bound is relative to each tensor's largest entry
+    for g, e in zip(grads, expected):
+        assert np.abs(g.data - e.data).max() <= 1e-12 * np.abs(e.data).max()
+
+
+def test_second_order_meta_gradient_peak_memory_is_one_task():
+    # each task's graph is freed before the next task's is built, so a
+    # meta-batch of 4 peaks near what 1 task does, not at 4 graphs
+    task = meta.build_task_data(tasks.generate_scenario(21, tasks.ChannelConfig()), 1, 0)
+    cfg = MetaConfig(inner_steps=2, shots=1)
+    params = model.init_params(3)
+
+    def peak_bytes(batch):
+        tracemalloc.start()
+        try:
+            meta._meta_gradients(params, batch, cfg, True, meta._default_loss)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes([task] * 4) / peak_bytes([task]) < 2

@@ -174,9 +174,16 @@ def test_split_insufficient_samples():
 
 def test_partition_disjoint_and_covering():
     scenarios = [tasks.generate_scenario(i, small_config()) for i in range(6)]
-    ts = tasks.partition_tasks(scenarios, 2, 3)
-    assert sorted(ts.train_indices + ts.test_indices) == list(range(6))
-    assert len(ts.test_indices) == 2
+    train, test = tasks.partition_tasks(scenarios, 2, 3)
+    ids = [s.id for s in scenarios]
+    train_at, test_at = [ids.index(s.id) for s in train], [ids.index(s.id) for s in test]
+    assert sorted(train_at + test_at) == list(range(6))
+    assert len(test) == 2
+    # each side keeps the input order
+    assert train_at == sorted(train_at) and test_at == sorted(test_at)
+    for count in (0, 6):
+        with pytest.raises(ValueError, match="test_count must be in"):
+            tasks.partition_tasks(scenarios, count, 3)
 
 
 # ---------------------------------------------------------------------------
