@@ -175,7 +175,16 @@ def _load_importance(path: Path, scenarios) -> meta.ImportanceVector:
     )
 
 
+def _check_worker_count() -> None:
+    """A bad METALOC_THREADS is a usage error before any data is read."""
+    try:
+        evaluation.worker_count()
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
 def cmd_importance(args) -> int:
+    _check_worker_count()
     scenarios = load_scenario_dir(args.data)
     if len(scenarios) < 2:
         raise DataFormatError(f"{args.data}: importance needs >= 2 scenarios")
@@ -189,6 +198,8 @@ def cmd_importance(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.algo == "tb-maml" and not args.importance:
+        _check_worker_count()  # the importance vector is computed in the pool
     scenarios = load_scenario_dir(args.data)
     cfg = _meta_config(args)
     out = Path(args.out)
@@ -286,20 +297,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        evaluation.worker_count()
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    _check_worker_count()
     if args.matrix_scenarios < 2:
         raise UsageError(f"--matrix-scenarios must be at least 2, got {args.matrix_scenarios}")
     algorithms, shots = args.algos, args.shots
+    problem = evaluation.shots_problem(algorithms, shots)
+    if problem:
+        raise UsageError(f"--shots {problem}")
     meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
-    # a meta-learner adapts on each task's support set, empty at 0 shots
-    least = 1 if meta_algos else 0
-    bad = [k for k in shots if k < least]
-    if bad:
-        why = f" with meta-learners {meta_algos}" if meta_algos else ""
-        raise UsageError(f"--shots {bad} below {least}{why}")
     scenarios = load_scenario_dir(args.data)
     n = len(scenarios)
     if not 0 < args.test_scenarios < n:

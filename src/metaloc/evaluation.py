@@ -25,10 +25,14 @@ Every cell runs in a spawned worker process with one BLAS thread
 environment). One pool serves the whole process: it starts on first use
 and every batch reuses it. Because every worker count runs the same code
 at the same BLAS thread count, results do not depend on the number of
-workers (METALOC_THREADS). Under spawn a worker imports the caller's main
-module, so a script that calls benchmark, cross_scenario_matrix,
-task_count_sweep or run_plans must keep that call under an
-`if __name__ == "__main__":` guard.
+workers (METALOC_THREADS). A worker never starts a pool of its own: a
+batch submitted from inside a cell (meta_train("tb-maml") computing its
+importance vector in a benchmark or sweep cell) runs inline in that
+worker, in order, at the same single BLAS thread. Under spawn a worker
+imports the caller's main module, so a script that calls benchmark,
+cross_scenario_matrix, task_count_sweep, run_plans, meta.compute_importance
+or meta.meta_train("tb-maml") without an importance vector must keep that
+call under an `if __name__ == "__main__":` guard.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ __all__ = [
     "matrix_plan",
     "sweep_plan",
     "run_plans",
+    "shots_problem",
     "worker_count",
 ]
 
@@ -187,6 +192,13 @@ def worker_count() -> int:
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 _pool = None  # (workers, ProcessPoolExecutor) shared by every experiment in this process
+_in_worker = False  # True in a pool worker, where _run_cells maps cells inline
+
+
+def _mark_worker() -> None:
+    """Pool initializer: this process is a worker."""
+    global _in_worker
+    _in_worker = True
 
 
 @contextmanager
@@ -209,14 +221,17 @@ def _run_cells(fn, cells, workers: int):
     workers; order preserved.
 
     The pool launches a worker at a submit that finds none idle, not at
-    construction, so every submit runs under _worker_env.
+    construction, so every submit runs under _worker_env. In a pool worker
+    the cells run inline, in order, and no second pool starts.
     """
     global _pool
+    if _in_worker:
+        return [fn(cell) for cell in cells]
     if _pool is None or _pool[0] != workers:
         if _pool is not None:
             _pool[1].shutdown()
         context = multiprocessing.get_context("spawn")
-        _pool = (workers, ProcessPoolExecutor(workers, mp_context=context))
+        _pool = (workers, ProcessPoolExecutor(workers, mp_context=context, initializer=_mark_worker))
     try:
         with _worker_env():
             results = _pool[1].map(fn, cells)
@@ -352,12 +367,30 @@ def _report_from(groups) -> EvalReport:
     return report
 
 
+def shots_problem(algorithms, shot_counts):
+    """Why these shot counts cannot run these algorithms, or None.
+
+    A shot count is at least 0, and at least 1 when a meta-learner is
+    listed: it adapts on each task's support set, empty at 0 shots.
+    """
+    meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
+    least = 1 if meta_algos else 0
+    bad = [k for k in shot_counts if k < least]
+    if not bad:
+        return None
+    why = f" with meta-learners {meta_algos}" if meta_algos else ""
+    return f"{bad} below {least}{why}"
+
+
 def benchmark_plan(scenarios, algorithms, shot_counts, repeats, cfg, test_count=5):
     """benchmark as a plan for run_plans; its checks run here."""
     scenarios = list(scenarios)
     for algorithm in algorithms:
         if algorithm not in ALL_ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALL_ALGORITHMS}")
+    problem = shots_problem(algorithms, shot_counts)
+    if problem:
+        raise ValueError(f"shot counts {problem}")
     jobs = [
         (_benchmark_cell, (scenarios, algorithm, shots, repeat, cfg, test_count))
         for repeat in range(repeats)

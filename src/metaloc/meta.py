@@ -294,6 +294,20 @@ def importance_from_losses(average_losses) -> np.ndarray:
     return -(2.0 * (losses - lo) / (hi - lo) - 1.0)
 
 
+def _query_loss(params: ParamSet, task: TaskData) -> float:
+    with no_grad():
+        return model_loss(params, task.query).item()
+
+
+def _importance_row(args) -> list:
+    """Row i of the importance loss matrix, without its diagonal entry."""
+    cfg, i, source, targets = args
+    return cross_transfer(
+        substream_int(cfg.seed, "importance-init", i), source, targets,
+        cfg.importance_epochs, cfg.inner_steps, cfg.baseline_lr, _query_loss,
+    )
+
+
 def compute_importance(scenarios: Sequence[Scenario], cfg: MetaConfig) -> ImportanceVector:
     """Cross-transfer importance over the meta-training tasks.
 
@@ -301,24 +315,31 @@ def compute_importance(scenarios: Sequence[Scenario], cfg: MetaConfig) -> Import
     fixed number of epochs; for each j != i fine-tune a copy on task j's
     k-shot support and evaluate on task j's query. Tasks whose models
     transfer well (low average loss) get importance near +1.
+
+    Each row i is one cell of the experiment pool (evaluation._run_cells,
+    METALOC_THREADS workers), so a script that calls this, or
+    meta_train("tb-maml") without an importance vector, must keep that
+    call under an `if __name__ == "__main__":` guard. Inside a pool
+    worker the rows run inline.
     """
+    from . import evaluation  # evaluation imports this module
+
     n = len(scenarios)
     if n < 2:
         raise ValueError(f"importance needs at least 2 training tasks, got {n}")
     splits = [build_task_data(s, cfg.shots, cfg.seed) for s in scenarios]
-
-    def query_loss(params, task):
-        with no_grad():
-            return model_loss(params, task.query).item()
-
+    others = [[j for j in range(n) if j != i] for i in range(n)]
+    rows = evaluation._run_cells(
+        _importance_row,
+        [
+            (cfg, i, batch_from(scenario.samples), [splits[j] for j in others[i]])
+            for i, scenario in enumerate(scenarios)
+        ],
+        evaluation.worker_count(),
+    )
     matrix = np.full((n, n), np.nan)
-    for i, scenario in enumerate(scenarios):
-        others = [j for j in range(n) if j != i]
-        matrix[i, others] = cross_transfer(
-            substream_int(cfg.seed, "importance-init", i), batch_from(scenario.samples),
-            [splits[j] for j in others], cfg.importance_epochs, cfg.inner_steps, cfg.baseline_lr,
-            query_loss,
-        )
+    for i, row in enumerate(rows):
+        matrix[i, others[i]] = row
     average = np.nanmean(matrix, axis=1)
     return ImportanceVector(
         values=importance_from_losses(average),

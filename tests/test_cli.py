@@ -1,6 +1,11 @@
 """End-to-end command behavior: files, determinism, exit codes."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +13,8 @@ import pytest
 
 from metaloc import evaluation
 from metaloc.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FAST_FLAGS = [
     "--alpha", "0.001",
@@ -379,6 +386,66 @@ def test_bench_bad_worker_count_usage_error(tmp_path, monkeypatch, capsys, value
     assert exc.value.code == 2
     assert f"METALOC_THREADS must be a positive integer, got '{value}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["importance", "--out", "{out}/importance.json"], ["train", "--algo", "tb-maml", "--out", "{out}"]],
+    ids=["importance", "train-tb-maml"],
+)
+def test_importance_pool_bad_worker_count_usage_error(tmp_path, monkeypatch, capsys, command):
+    data = gen(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setenv("METALOC_THREADS", "0")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(out=out) for arg in command] + ["--data", str(data), "--k", "1"] + FAST_FLAGS)
+    assert exc.value.code == 2
+    assert "METALOC_THREADS must be a positive integer, got '0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _live_group_members(pgid: int) -> dict:
+    """{pid: command line} of the processes in group pgid that have not exited, from /proc."""
+    members = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+            if fields[0] != "Z" and int(fields[2]) == pgid:
+                members[int(stat.parent.name)] = (stat.parent / "cmdline").read_bytes()
+        except (OSError, IndexError):
+            continue  # the process exited while being read
+    return members
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_module_entry_point_runs_importance_in_pool(tmp_path):
+    data = gen(tmp_path)
+    out = tmp_path / "importance.json"
+    env = dict(os.environ, METALOC_THREADS="2", PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "metaloc.cli", "importance", "--data", str(data), "--k", "1",
+         "--out", str(out)] + FAST_FLAGS,
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    workers = set()
+    deadline = time.monotonic() + 120
+    try:
+        while proc.poll() is None and time.monotonic() < deadline:
+            members = _live_group_members(proc.pid)
+            workers |= {pid for pid, cmdline in members.items() if b"--multiprocessing-fork" in cmdline}
+            time.sleep(0.01)
+        _, stderr = proc.communicate(timeout=max(deadline - time.monotonic(), 1))
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 0, stderr.decode()
+    assert len(json.loads(out.read_text())["loss_matrix"]) == 3
+    assert workers, "no pool worker was spawned"
+    # the pool's workers exit with the command, not after it
+    deadline = time.monotonic() + 10
+    while _live_group_members(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _live_group_members(proc.pid) == {}
 
 
 def test_bench_deterministic_outputs(tmp_path):

@@ -6,9 +6,10 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from metaloc import evaluation, meta, tasks
+from metaloc import autodiff, evaluation, meta, model, tasks
 from metaloc.evaluation import EvalReport, benchmark, cdf, cross_scenario_matrix, distances
 from metaloc.meta import MetaConfig
+from metaloc.seeding import substream_int
 
 
 def small_scenarios(n, start=70):
@@ -167,6 +168,22 @@ def test_benchmark_rejects_unknown_algorithm():
         benchmark(small_scenarios(3), ["magic"], [1], 1, quick_cfg(), test_count=1)
 
 
+@pytest.mark.parametrize(
+    "algorithms, shots, reason",
+    [
+        (["conventional", "transfer"], [1, -1], r"shot counts \[-1\] below 0"),
+        (["conventional", "fomaml"], [0, 1], r"shot counts \[0\] below 1 with meta-learners \['fomaml'\]"),
+    ],
+    ids=["negative", "zero-with-meta-learner"],
+)
+def test_benchmark_rejects_bad_shot_counts_before_any_cell(monkeypatch, algorithms, shots, reason):
+    submitted = []
+    monkeypatch.setattr(evaluation, "_run_cells", lambda fn, cells, workers: submitted.append(cells))
+    with pytest.raises(ValueError, match=reason):
+        benchmark(small_scenarios(3), algorithms, shots, 1, quick_cfg(), test_count=1)
+    assert submitted == []
+
+
 def test_benchmark_maml_vs_tb_gamma_zero_identical_errors():
     scenarios = small_scenarios(4)
     cfg = quick_cfg(gamma=0.0, meta_iterations=3)
@@ -204,6 +221,33 @@ def test_results_independent_of_worker_count(monkeypatch):
     assert sweep_1 == sweep_2
 
 
+def test_importance_independent_of_worker_count(monkeypatch):
+    scenarios = small_scenarios(3)
+    cfg = quick_cfg()
+    vectors = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("METALOC_THREADS", workers)
+        vectors.append(meta.compute_importance(scenarios, cfg))
+    one, two = vectors
+    for name in ("loss_matrix", "average_losses", "values"):
+        assert np.array_equal(getattr(one, name), getattr(two, name), equal_nan=True)
+
+    def query_loss(params, task):
+        with autodiff.no_grad():
+            return model.loss(params, task.query).item()
+
+    # each pool row is the in-process cross transfer of task i to every other task
+    splits = [meta.build_task_data(s, cfg.shots, cfg.seed) for s in scenarios]
+    for i, scenario in enumerate(scenarios):
+        others = [j for j in range(len(scenarios)) if j != i]
+        row = meta.cross_transfer(
+            substream_int(cfg.seed, "importance-init", i), tasks.batch_from(scenario.samples),
+            [splits[j] for j in others], cfg.importance_epochs, cfg.inner_steps, cfg.baseline_lr,
+            query_loss,
+        )
+        np.testing.assert_allclose(one.loss_matrix[i, others], row, rtol=1e-12)
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])
 def test_worker_count_rejects_non_positive_integers(monkeypatch, value):
     monkeypatch.setenv("METALOC_THREADS", value)
@@ -238,6 +282,31 @@ def test_cells_run_in_one_blas_thread_workers(monkeypatch, caller):
 
 def _exit_worker(cell):
     os._exit(1)
+
+
+def _pid(cell):
+    return os.getpid()
+
+
+def _refuse_pool(*args, **kwargs):
+    raise AssertionError("a pool worker started a pool of its own")
+
+
+def _nested_batch(cell):
+    executor, evaluation.ProcessPoolExecutor = evaluation.ProcessPoolExecutor, _refuse_pool
+    try:
+        inner = evaluation._run_cells(_pid, [cell, cell + 1, cell + 2], 2)
+    finally:
+        evaluation.ProcessPoolExecutor = executor
+    return os.getpid(), inner, evaluation._pool
+
+
+def test_batch_inside_a_worker_runs_inline():
+    # a cell that submits its own batch (tb-maml's importance vector) starts no second pool
+    for outer, inner, pool in evaluation._run_cells(_nested_batch, [0, 10, 20, 30], 2):
+        assert inner == [outer] * 3
+        assert pool is None
+    assert evaluation._pool is not None and evaluation._pool[0] == 2
 
 
 def test_pool_restarts_after_a_worker_dies():
