@@ -217,6 +217,7 @@ def cmd_train(args) -> int:
                 resolved["importance_file"] = str(args.importance)
             else:
                 importance = meta.compute_importance(scenarios, cfg)
+                evaluation._close_pool()  # meta_train runs here; free the idle workers
                 imp_path = out / "importance.json"
                 imp_path.write_text(json.dumps(_importance_doc(importance, cfg, scenarios), indent=2))
                 outputs.append(imp_path)
@@ -301,7 +302,7 @@ def cmd_bench(args) -> int:
     if args.matrix_scenarios < 2:
         raise UsageError(f"--matrix-scenarios must be at least 2, got {args.matrix_scenarios}")
     algorithms, shots = args.algos, args.shots
-    problem = evaluation.shots_problem(algorithms, shots)
+    problem = evaluation._shots_problem(algorithms, shots)
     if problem:
         raise UsageError(f"--shots {problem}")
     meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]

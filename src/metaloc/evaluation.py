@@ -66,7 +66,6 @@ __all__ = [
     "matrix_plan",
     "sweep_plan",
     "run_plans",
-    "shots_problem",
     "worker_count",
 ]
 
@@ -227,9 +226,9 @@ def _run_cells(fn, cells, workers: int):
     global _pool
     if _in_worker:
         return [fn(cell) for cell in cells]
-    if _pool is None or _pool[0] != workers:
-        if _pool is not None:
-            _pool[1].shutdown()
+    if _pool is not None and _pool[0] != workers:
+        _close_pool()
+    if _pool is None:
         context = multiprocessing.get_context("spawn")
         _pool = (workers, ProcessPoolExecutor(workers, mp_context=context, initializer=_mark_worker))
     try:
@@ -239,6 +238,15 @@ def _run_cells(fn, cells, workers: int):
     except BrokenProcessPool:
         _pool = None  # a worker died; the next call starts a new pool
         raise
+
+
+def _close_pool() -> None:
+    """Shut this process's pool down and free its workers; the next batch
+    starts a new one."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
 
 
 def _call(job):
@@ -367,7 +375,7 @@ def _report_from(groups) -> EvalReport:
     return report
 
 
-def shots_problem(algorithms, shot_counts):
+def _shots_problem(algorithms, shot_counts):
     """Why these shot counts cannot run these algorithms, or None.
 
     A shot count is at least 0, and at least 1 when a meta-learner is
@@ -388,7 +396,7 @@ def benchmark_plan(scenarios, algorithms, shot_counts, repeats, cfg, test_count=
     for algorithm in algorithms:
         if algorithm not in ALL_ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALL_ALGORITHMS}")
-    problem = shots_problem(algorithms, shot_counts)
+    problem = _shots_problem(algorithms, shot_counts)
     if problem:
         raise ValueError(f"shot counts {problem}")
     jobs = [

@@ -150,6 +150,8 @@ def test_train_tb_maml_computes_importance_when_missing(tmp_path):
     assert (out / "importance.json").exists()
     manifest = json.loads((out / "run.json").read_text())
     assert manifest["config"]["importance_file"].endswith("importance.json")
+    # meta-training runs in this process: the importance workers were let go
+    assert evaluation._pool is None
 
 
 def test_train_conventional_and_transfer(tmp_path):
