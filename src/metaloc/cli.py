@@ -299,7 +299,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     _check_worker_count()
-    if args.matrix_scenarios < 2:
+    if args.matrix_scenarios is not None and args.matrix_scenarios < 2:
         raise UsageError(f"--matrix-scenarios must be at least 2, got {args.matrix_scenarios}")
     algorithms, shots = args.algos, args.shots
     problem = evaluation._shots_problem(algorithms, shots)
@@ -317,6 +317,20 @@ def cmd_bench(args) -> int:
             f"--counts {bad} outside 1..{available}, the training scenarios left of "
             f"{n} after --test-scenarios {args.test_scenarios}"
         )
+    if "tb-maml" in algorithms:
+        # its importance vector cross-transfers between at least 2 training scenarios
+        if available < 2:
+            raise UsageError(
+                f"tb-maml needs at least 2 training scenarios, but --test-scenarios "
+                f"{args.test_scenarios} leaves {available} of {n}"
+            )
+        bad = [c for c in args.counts or () if c < 2]
+        if bad:
+            raise UsageError(f"--counts {bad} below 2: tb-maml needs at least 2 training scenarios")
+    if args.matrix_scenarios is None:
+        args.matrix_scenarios = min(n, 10)
+    elif args.matrix_scenarios > n:
+        raise UsageError(f"--matrix-scenarios {args.matrix_scenarios} above the {n} scenarios")
     # the matrix and sweep experiments run at the first listed shot count
     args.k = shots[0]
     cfg = _meta_config(args)
@@ -498,7 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--test-scenarios", dest="test_scenarios", type=int, default=5)
-    p.add_argument("--matrix-scenarios", dest="matrix_scenarios", type=int, default=10)
+    p.add_argument(
+        "--matrix-scenarios", dest="matrix_scenarios", type=int, default=None,
+        help="scenarios in the cross-scenario matrix (default: all, up to 10)",
+    )
     p.add_argument("--counts", type=_int_list, default=None, help="task-count sweep, e.g. 5,10,15")
     _add_config_flags(p)
     p.set_defaults(fn=cmd_bench)

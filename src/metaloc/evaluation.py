@@ -399,6 +399,12 @@ def benchmark_plan(scenarios, algorithms, shot_counts, repeats, cfg, test_count=
     problem = _shots_problem(algorithms, shot_counts)
     if problem:
         raise ValueError(f"shot counts {problem}")
+    train_count = len(scenarios) - test_count
+    if "tb-maml" in algorithms and train_count < 2:
+        raise ValueError(
+            f"tb-maml needs at least 2 training scenarios for its importance vector, "
+            f"got {train_count} ({len(scenarios)} scenarios, {test_count} for testing)"
+        )
     jobs = [
         (_benchmark_cell, (scenarios, algorithm, shots, repeat, cfg, test_count))
         for repeat in range(repeats)
@@ -442,6 +448,10 @@ def sweep_plan(scenarios, algorithms, counts, repeats, cfg, test_count=5):
             raise ValueError(f"task_count_sweep is for meta-learners, got {algorithm!r}")
     if min(counts) < 1:
         raise ValueError(f"task counts must be at least 1, got {min(counts)}")
+    if "tb-maml" in algorithms and min(counts) < 2:
+        raise ValueError(
+            f"tb-maml needs task counts of at least 2 for its importance vector, got {min(counts)}"
+        )
     available = len(scenarios) - test_count
     if max(counts) > available:
         raise ValueError(

@@ -95,12 +95,18 @@ class MetaConfig:
                 f"gamma must be <= beta to keep the biased step positive "
                 f"(got gamma={self.gamma}, beta={self.beta})"
             )
-        if self.inner_steps < 0:
-            raise ValueError(f"inner_steps must be >= 0, got {self.inner_steps}")
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
-        if self.meta_batch_size < 1:
-            raise ValueError(f"meta_batch_size must be >= 1, got {self.meta_batch_size}")
+        for name, least in (
+            ("inner_steps", 0), ("shots", 0), ("meta_iterations", 0), ("importance_epochs", 0),
+            ("baseline_epochs", 0), ("finetune_epochs", 0),
+            ("meta_batch_size", 1), ("convergence_window", 1),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        for name in ("baseline_lr", "step_floor"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @dataclass
@@ -250,23 +256,35 @@ def _meta_gradients(
     second_order: bool,
     loss_fn: Callable,
 ):
-    """Gradient of the summed post-adaptation query loss w.r.t. params.
+    """Gradient of the summed post-adaptation query loss w.r.t. params,
+    and the query loss at each position of `tasks`.
 
     Second order differentiates through the adaptation; first order takes
     the query gradients at the adapted weights (which line up with the
     initialization tensor-for-tensor). Either way each task's gradient is
     taken as soon as that task is adapted, and the gradients are summed in
-    task order, so peak memory is one task's graph, not the meta-batch's.
+    batch order, so peak memory is one task's graph, not the meta-batch's.
+
+    A task that appears more than once (the same TaskData object; tasks are
+    keyed by identity, never compared with ==) is adapted and differentiated
+    once, at its first position. Its gradient and query loss are kept until
+    its last position and added again at each repeat, which gives the same
+    sum and loss list, bit for bit, as adapting it every time.
     """
+    last = {id(task): pos for pos, task in enumerate(tasks)}
+    held: dict = {}  # id(task) -> (gradient, query loss) until the task's last position
     grads, query_losses = None, []
-    for task in tasks:
-        adapted = inner_adapt(
-            params, task.support, cfg.alpha, cfg.inner_steps,
-            create_graph=second_order, loss_fn=loss_fn,
-        )
-        q = loss_fn(adapted, task.query)
-        query_losses.append(q.item())
-        g = grad(q, (params if second_order else adapted).tensors())
+    for pos, task in enumerate(tasks):
+        key = id(task)
+        if key not in held:
+            adapted = inner_adapt(
+                params, task.support, cfg.alpha, cfg.inner_steps,
+                create_graph=second_order, loss_fn=loss_fn,
+            )
+            q = loss_fn(adapted, task.query)
+            held[key] = grad(q, (params if second_order else adapted).tensors()), q.item()
+        g, loss_value = held[key] if last[key] > pos else held.pop(key)
+        query_losses.append(loss_value)
         grads = g if grads is None else [a + b for a, b in zip(grads, g)]
     return grads, query_losses
 
@@ -363,6 +381,12 @@ def meta_train(
     convergence_window iterations improves by less than convergence_tol
     versus the window before it. Appends (iteration, task_id, query_loss)
     rows to `trace` when given.
+
+    Each iteration samples meta_batch_size tasks with replacement. MAML
+    and FOMAML adapt and differentiate each distinct task of the batch
+    once and count it at every position it was drawn (_meta_gradients),
+    so a repeated task weighs as often as it was drawn and the trace has
+    one row per draw. TB-MAML steps after every task, one task at a time.
     """
     if algorithm not in META_ALGORITHMS:
         raise ValueError(f"unknown meta algorithm {algorithm!r}; expected {META_ALGORITHMS}")

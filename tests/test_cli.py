@@ -72,6 +72,17 @@ def test_unknown_algo_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_negative_learning_rate_is_usage_error(tmp_path, capsys):
+    data = gen(tmp_path)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--algo", "conventional", "--data", str(data), "--out", str(out),
+              "--baseline-lr", "-0.03"])
+    assert exc.value.code == 2
+    assert "baseline_lr must be > 0, got -0.03" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_config_usage_error(tmp_path):
     data = gen(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -305,6 +316,18 @@ def test_bench_emits_all_csvs(tmp_path):
     assert (config["matrix_scenarios"], config["counts"]) == (2, [2])
 
 
+def test_bench_matrix_defaults_to_every_scenario_and_records_it(tmp_path):
+    data = gen(tmp_path, n=3)
+    out = tmp_path / "bench"
+    rc = main(
+        ["bench", "--data", str(data), "--algos", "conventional", "--shots", "1",
+         "--repeats", "1", "--out", str(out), "--test-scenarios", "1"] + FAST_FLAGS
+    )
+    assert rc == 0
+    assert len((out / "matrix.csv").read_text().splitlines()) - 1 == 9  # 3x3 cells
+    assert json.loads((out / "run.json").read_text())["config"]["matrix_scenarios"] == 3
+
+
 def test_bench_transfer_zero_shots(tmp_path):
     data = gen(tmp_path, n=4)
     out = tmp_path / "bench"
@@ -349,9 +372,14 @@ def test_bench_runs_every_cell_in_one_batch(tmp_path, monkeypatch):
         (["--shots", "0"], "--shots [0] below 1"),
         (["--shots", "1,-1"], "--shots [-1] below 1 with meta-learners ['fomaml']"),
         (["--algos", "conventional", "--shots", "2,-1"], "--shots [-1] below 0"),
+        (["--algos", "conventional,tb-maml", "--test-scenarios", "3"],
+         "tb-maml needs at least 2 training scenarios, but --test-scenarios 3 leaves 1 of 4"),
+        (["--algos", "tb-maml", "--counts", "1"], "--counts [1] below 2: tb-maml needs at least 2"),
+        (["--matrix-scenarios", "5"], "--matrix-scenarios 5 above the 4 scenarios"),
     ],
     ids=["count-above-training", "count-zero", "count-above-fewer-training", "no-training-scenario",
-         "one-matrix-scenario", "zero-shots-meta", "negative-later-shots", "negative-shots-baseline"],
+         "one-matrix-scenario", "zero-shots-meta", "negative-later-shots", "negative-shots-baseline",
+         "tb-maml-one-training-scenario", "tb-maml-count-one", "matrix-above-scenarios"],
 )
 def test_bench_bad_experiment_flags_fail_before_any_work(tmp_path, monkeypatch, capsys, flags, reason):
     data = gen(tmp_path, n=4)

@@ -319,6 +319,21 @@ def test_pool_restarts_after_a_worker_dies():
 # task-count sweep
 
 
+def test_tb_maml_with_one_training_scenario_fails_before_any_cell(monkeypatch):
+    # the importance vector cross-transfers between at least 2 training scenarios
+    submitted = []
+    monkeypatch.setattr(evaluation, "_run_cells", lambda fn, cells, workers: submitted.append(cells))
+    scenarios = small_scenarios(4)
+    with pytest.raises(ValueError, match=r"tb-maml needs at least 2 training scenarios .*got 1"):
+        evaluation.benchmark_plan(scenarios, ["conventional", "tb-maml"], [1], 1, quick_cfg(), test_count=3)
+    with pytest.raises(ValueError, match="tb-maml needs task counts of at least 2 .*got 1"):
+        evaluation.sweep_plan(scenarios, ["fomaml", "tb-maml"], [1, 2], 1, quick_cfg(), test_count=1)
+    assert submitted == []
+    # one training scenario stays valid for the algorithms that need no importance vector
+    evaluation.benchmark_plan(scenarios, ["conventional", "fomaml"], [1], 1, quick_cfg(), test_count=3)
+    evaluation.sweep_plan(scenarios, ["fomaml"], [1, 2], 1, quick_cfg(), test_count=1)
+
+
 def test_sweep_structure_and_shared_subsets():
     scenarios = small_scenarios(6)
     cfg = quick_cfg()

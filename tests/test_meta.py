@@ -1,10 +1,13 @@
 """Trainer math on closed-form toys, importance algebra, reductions."""
 
 import dataclasses
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metaloc import autodiff as ad
 from metaloc import meta, model, tasks
@@ -58,6 +61,31 @@ def test_config_validation():
         MetaConfig(beta=0.001, gamma=0.002)  # gamma must stay <= beta
     with pytest.raises(ValueError):
         MetaConfig(inner_steps=-1)
+
+
+@pytest.mark.parametrize(
+    "name, value, reason",
+    [
+        ("meta_iterations", -1, "must be >= 0"),
+        ("importance_epochs", -1, "must be >= 0"),
+        ("baseline_epochs", -5, "must be >= 0"),
+        ("finetune_epochs", -1, "must be >= 0"),
+        ("baseline_lr", 0.0, "must be > 0"),
+        ("baseline_lr", -0.03, "must be > 0"),
+        ("baseline_lr", float("nan"), "must be > 0"),
+        ("step_floor", 0.0, "must be > 0"),
+        ("step_floor", -1e-6, "must be > 0"),
+        ("convergence_window", 0, "must be >= 1"),
+    ],
+)
+def test_config_rejects_invalid_budgets_and_rates(name, value, reason):
+    with pytest.raises(ValueError, match=re.escape(f"{name} {reason}, got {value}")):
+        MetaConfig(**{name: value})
+
+
+def test_config_accepts_zero_budgets():
+    cfg = MetaConfig(meta_iterations=0, importance_epochs=0, baseline_epochs=0, finetune_epochs=0)
+    assert (cfg.meta_iterations, cfg.importance_epochs, cfg.baseline_epochs, cfg.finetune_epochs) == (0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +481,8 @@ def test_second_order_meta_gradient_matches_summed_loss_oracle():
 
 def test_second_order_meta_gradient_peak_memory_is_one_task():
     # each task's graph is freed before the next task's is built, so a
-    # meta-batch of 4 peaks near what 1 task does, not at 4 graphs
+    # meta-batch of 4 peaks near what 1 task does, not at 4 graphs; the
+    # batch holds 4 distinct objects, since a repeated task is adapted once
     task = meta.build_task_data(tasks.generate_scenario(21, tasks.ChannelConfig()), 1, 0)
     cfg = MetaConfig(inner_steps=2, shots=1)
     params = model.init_params(3)
@@ -466,4 +495,68 @@ def test_second_order_meta_gradient_peak_memory_is_one_task():
         finally:
             tracemalloc.stop()
 
-    assert peak_bytes([task] * 4) / peak_bytes([task]) < 2
+    batch = [dataclasses.replace(task) for _ in range(4)]
+    assert peak_bytes(batch) / peak_bytes([task]) < 2
+
+
+# ---------------------------------------------------------------------------
+# a task repeated in a meta-batch is adapted once
+
+
+def summed_one_task_batches(params, batch, cfg, second_order, loss_fn):
+    """The meta-gradients of `batch` as one-task batches summed position by position."""
+    grads, losses = None, []
+    for task in batch:
+        g, (q,) = meta._meta_gradients(params, [task], cfg, second_order, loss_fn)
+        losses.append(q)
+        grads = g if grads is None else [a + b for a, b in zip(grads, g)]
+    return grads, losses
+
+
+@pytest.mark.parametrize("second_order", [True, False], ids=["maml", "fomaml"])
+def test_repeated_task_is_adapted_once(second_order):
+    a, b = toy_task(1.0), toy_task(-3.0)
+    with mock.patch.object(meta, "inner_adapt", wraps=meta.inner_adapt) as spy:
+        _, losses = meta._meta_gradients(theta_at(0.5), [a, b, a, a], toy_cfg(), second_order, toy_loss)
+    assert [c.args[1] for c in spy.call_args_list] == [a.support, b.support]
+    assert losses[0] == losses[2] == losses[3] != losses[1]
+
+
+@pytest.mark.parametrize("second_order", [True, False], ids=["maml", "fomaml"])
+def test_repeated_task_gradients_are_bitwise_the_per_position_sum(second_order):
+    a, b = (
+        meta.build_task_data(tasks.generate_scenario(seed, tasks.ChannelConfig()), 1, 0)
+        for seed in (21, 22)
+    )
+    a, b = (dataclasses.replace(t, query=(t.query[0][:60], t.query[1][:60])) for t in (a, b))
+    cfg = MetaConfig(inner_steps=2, shots=1)
+    params = model.init_params(3)
+    batch = [a, b, a, a]
+    expected, expected_losses = summed_one_task_batches(params, batch, cfg, second_order, meta._default_loss)
+    with mock.patch.object(meta, "inner_adapt", wraps=meta.inner_adapt) as spy:
+        grads, losses = meta._meta_gradients(params, batch, cfg, second_order, meta._default_loss)
+    assert spy.call_count == 2
+    assert losses == expected_losses
+    for g, e in zip(grads, expected):
+        assert np.array_equal(g.data, e.data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    constants=st.lists(
+        st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)), min_size=1, max_size=4
+    ),
+    picks=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    at=st.floats(-4.0, 4.0),
+    second_order=st.booleans(),
+)
+def test_meta_gradients_equal_per_position_sum_over_random_batches(constants, picks, at, second_order):
+    toys = [TaskData(f"toy{i}", support=s, query=q, shots=0) for i, (s, q) in enumerate(constants)]
+    batch = [toys[i % len(toys)] for i in picks]
+    cfg = toy_cfg(inner_steps=2)
+    expected, expected_losses = summed_one_task_batches(theta_at(at), batch, cfg, second_order, toy_loss)
+    with mock.patch.object(meta, "inner_adapt", wraps=meta.inner_adapt) as spy:
+        grads, losses = meta._meta_gradients(theta_at(at), batch, cfg, second_order, toy_loss)
+    assert spy.call_count == len({id(t) for t in batch})
+    assert losses == expected_losses
+    assert [g.data.tobytes() for g in grads] == [e.data.tobytes() for e in expected]
