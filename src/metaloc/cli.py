@@ -3,6 +3,9 @@ benchmark. Every command writes a run manifest with the fully resolved
 configuration so runs can be reproduced bit-for-bit from the same flags.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+`metaloc bench` leaves the checks of its experiments to the evaluation
+plans and reports a plan's ValueError as a usage error (exit 2); any
+other ValueError, such as a library rule on the data, exits 3.
 """
 
 from __future__ import annotations
@@ -50,24 +53,26 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs: list) 
     (out_dir / "run.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
+# MetaConfig fields settable from the command line: (flag, field, type, help)
+_CONFIG_FLAGS = (
+    ("--alpha", "alpha", float, "inner step size"),
+    ("--beta", "beta", float, "outer (meta) step size"),
+    ("--gamma", "gamma", float, "importance bias intensity"),
+    ("--inner-steps", "inner_steps", int, None),
+    ("--meta-iterations", "meta_iterations", int, None),
+    ("--batch", "meta_batch_size", int, None),
+    ("--importance-epochs", "importance_epochs", int, None),
+    ("--baseline-epochs", "baseline_epochs", int, None),
+    ("--baseline-lr", "baseline_lr", float, None),
+    ("--finetune-epochs", "finetune_epochs", int, None),
+)
+
+
 def _meta_config(args) -> meta.MetaConfig:
     cfg = meta.MetaConfig(seed=args.seed)
-    overrides = {}
-    for name in (
-        "alpha",
-        "beta",
-        "gamma",
-        "inner_steps",
-        "meta_iterations",
-        "meta_batch_size",
-        "importance_epochs",
-        "baseline_epochs",
-        "baseline_lr",
-        "finetune_epochs",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {
+        name: getattr(args, name) for _, name, _, _ in _CONFIG_FLAGS if getattr(args, name) is not None
+    }
     if getattr(args, "k", None) is not None:
         overrides["shots"] = args.k
     try:
@@ -186,8 +191,6 @@ def _check_worker_count() -> None:
 def cmd_importance(args) -> int:
     _check_worker_count()
     scenarios = load_scenario_dir(args.data)
-    if len(scenarios) < 2:
-        raise DataFormatError(f"{args.data}: importance needs >= 2 scenarios")
     cfg = _meta_config(args)
     vector = meta.compute_importance(scenarios, cfg)
     out = Path(args.out)
@@ -234,8 +237,6 @@ def cmd_train(args) -> int:
             params = meta.train_conventional(task, cfg)
         else:
             others = [s for s in scenarios if s.id != target.id]
-            if not others:
-                raise DataFormatError("transfer needs at least 2 scenarios")
             source = meta.pick_transfer_source(others, cfg.seed)
             resolved["source"] = source.id
             params = meta.train_transfer(source, task, cfg)
@@ -299,53 +300,32 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     _check_worker_count()
-    if args.matrix_scenarios is not None and args.matrix_scenarios < 2:
-        raise UsageError(f"--matrix-scenarios must be at least 2, got {args.matrix_scenarios}")
     algorithms, shots = args.algos, args.shots
-    problem = evaluation._shots_problem(algorithms, shots)
-    if problem:
-        raise UsageError(f"--shots {problem}")
-    meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
     scenarios = load_scenario_dir(args.data)
     n = len(scenarios)
-    if not 0 < args.test_scenarios < n:
-        raise UsageError(f"--test-scenarios {args.test_scenarios} outside 1..{n - 1} for {n} scenarios")
-    available = n - args.test_scenarios
-    bad = [c for c in args.counts or () if not 1 <= c <= available]
-    if bad:
-        raise UsageError(
-            f"--counts {bad} outside 1..{available}, the training scenarios left of "
-            f"{n} after --test-scenarios {args.test_scenarios}"
-        )
-    if "tb-maml" in algorithms:
-        # its importance vector cross-transfers between at least 2 training scenarios
-        if available < 2:
-            raise UsageError(
-                f"tb-maml needs at least 2 training scenarios, but --test-scenarios "
-                f"{args.test_scenarios} leaves {available} of {n}"
-            )
-        bad = [c for c in args.counts or () if c < 2]
-        if bad:
-            raise UsageError(f"--counts {bad} below 2: tb-maml needs at least 2 training scenarios")
     if args.matrix_scenarios is None:
         args.matrix_scenarios = min(n, 10)
-    elif args.matrix_scenarios > n:
-        raise UsageError(f"--matrix-scenarios {args.matrix_scenarios} above the {n} scenarios")
+    elif not 2 <= args.matrix_scenarios <= n:
+        raise UsageError(f"--matrix-scenarios {args.matrix_scenarios} outside 2..{n} for {n} scenarios")
     # the matrix and sweep experiments run at the first listed shot count
     args.k = shots[0]
     cfg = _meta_config(args)
-    plans = [
-        evaluation.benchmark_plan(
-            scenarios, algorithms, shots, args.repeats, cfg, test_count=args.test_scenarios
-        ),
-        evaluation.matrix_plan(scenarios[: args.matrix_scenarios], cfg, fine_tune_shots=0),
-    ]
-    if meta_algos and args.counts:
-        plans.append(
-            evaluation.sweep_plan(
-                scenarios, meta_algos, args.counts, args.repeats, cfg, test_count=args.test_scenarios
+    try:
+        plans = [
+            evaluation.benchmark_plan(
+                scenarios, algorithms, shots, args.repeats, cfg, test_count=args.test_scenarios
+            ),
+            evaluation.matrix_plan(scenarios[: args.matrix_scenarios], cfg, fine_tune_shots=0),
+        ]
+        if args.counts:  # sweep_plan checks them; with no meta-learner it has no cells
+            meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
+            plans.append(
+                evaluation.sweep_plan(
+                    scenarios, meta_algos, args.counts, args.repeats, cfg, test_count=args.test_scenarios
+                )
             )
-        )
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     report, matrix, *sweep = evaluation.run_plans(*plans)
 
     out = Path(args.out)
@@ -447,16 +427,8 @@ def _algorithm_list(value: str) -> list:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=None, help="inner step size")
-    p.add_argument("--beta", type=float, default=None, help="outer (meta) step size")
-    p.add_argument("--gamma", type=float, default=None, help="importance bias intensity")
-    p.add_argument("--inner-steps", dest="inner_steps", type=int, default=None)
-    p.add_argument("--meta-iterations", dest="meta_iterations", type=int, default=None)
-    p.add_argument("--batch", dest="meta_batch_size", type=int, default=None)
-    p.add_argument("--importance-epochs", dest="importance_epochs", type=int, default=None)
-    p.add_argument("--baseline-epochs", dest="baseline_epochs", type=int, default=None)
-    p.add_argument("--baseline-lr", dest="baseline_lr", type=float, default=None)
-    p.add_argument("--finetune-epochs", dest="finetune_epochs", type=int, default=None)
+    for flag, name, kind, help_text in _CONFIG_FLAGS:
+        p.add_argument(flag, dest=name, type=kind, default=None, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,12 +13,14 @@ substreams, never from the algorithm, so all algorithms see identical
 partitions and identical k-shot support sets.
 
 Each experiment is also a plan (benchmark_plan, matrix_plan,
-sweep_plan): its checks run when the plan is built, and the plan is its
-cells plus a function that assembles the result from their outputs.
-run_plans runs the cells of any number of plans as one batch. Each of the
-three experiment functions runs its own plan; `metaloc bench` runs all
-three as one batch, so no worker idles at the end of one experiment
-while another's cells wait.
+sweep_plan): its cells plus a function that assembles the result from
+their outputs. Each plan owns the checks of its experiment, lists them
+in its docstring and runs them when it is built, raising a ValueError
+that names the offending value and its allowed range; no caller repeats
+them. run_plans runs the cells of any number of plans as one batch. Each
+of the three experiment functions runs its own plan; `metaloc bench`
+runs all three as one batch, so no worker idles at the end of one
+experiment while another's cells wait.
 
 Every cell runs in a spawned worker process with one BLAS thread
 (OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1 in the worker's
@@ -313,10 +315,14 @@ def _matrix_cell(args):
 
 
 def matrix_plan(scenarios, cfg, fine_tune_shots=0):
-    """cross_scenario_matrix as a plan for run_plans; its checks run here."""
+    """cross_scenario_matrix as a plan for run_plans. Its checks:
+
+    - there are at least 2 scenarios;
+    - fine_tune_shots is 0 or cfg.shots.
+    """
     scenarios = list(scenarios)
     if len(scenarios) < 2:
-        raise ValueError("cross_scenario_matrix needs at least 2 scenarios")
+        raise ValueError(f"cross_scenario_matrix needs at least 2 scenarios, got {len(scenarios)}")
     if fine_tune_shots not in (0, cfg.shots):
         raise ValueError(
             f"fine_tune_shots must be 0 or cfg.shots={cfg.shots}, got {fine_tune_shots}"
@@ -375,31 +381,36 @@ def _report_from(groups) -> EvalReport:
     return report
 
 
-def _shots_problem(algorithms, shot_counts):
-    """Why these shot counts cannot run these algorithms, or None.
-
-    A shot count is at least 0, and at least 1 when a meta-learner is
-    listed: it adapts on each task's support set, empty at 0 shots.
-    """
-    meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
-    least = 1 if meta_algos else 0
-    bad = [k for k in shot_counts if k < least]
-    if not bad:
-        return None
-    why = f" with meta-learners {meta_algos}" if meta_algos else ""
-    return f"{bad} below {least}{why}"
+def _train_count(scenarios, test_count) -> int:
+    """How many of `scenarios` are left for training once test_count are
+    held out for testing; test_count must be in 1..len(scenarios) - 1."""
+    n = len(scenarios)
+    if not 0 < test_count < n:
+        raise ValueError(f"test_count {test_count} outside 1..{n - 1} for {n} scenarios")
+    return n - test_count
 
 
 def benchmark_plan(scenarios, algorithms, shot_counts, repeats, cfg, test_count=5):
-    """benchmark as a plan for run_plans; its checks run here."""
+    """benchmark as a plan for run_plans. Its checks:
+
+    - every algorithm is one of ALL_ALGORITHMS;
+    - every shot count is at least 0, and at least 1 when a meta-learner
+      is listed: it adapts on each task's support set, empty at 0 shots;
+    - test_count is in 1..len(scenarios) - 1;
+    - with tb-maml, at least 2 training scenarios are left for its
+      importance vector.
+    """
     scenarios = list(scenarios)
     for algorithm in algorithms:
         if algorithm not in ALL_ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALL_ALGORITHMS}")
-    problem = _shots_problem(algorithms, shot_counts)
-    if problem:
-        raise ValueError(f"shot counts {problem}")
-    train_count = len(scenarios) - test_count
+    meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
+    least = 1 if meta_algos else 0
+    bad = [k for k in shot_counts if k < least]
+    if bad:
+        why = f" with meta-learners {meta_algos}" if meta_algos else ""
+        raise ValueError(f"shot counts {bad} below {least}{why}")
+    train_count = _train_count(scenarios, test_count)
     if "tb-maml" in algorithms and train_count < 2:
         raise ValueError(
             f"tb-maml needs at least 2 training scenarios for its importance vector, "
@@ -441,21 +452,28 @@ def _sweep_cell(args):
 
 
 def sweep_plan(scenarios, algorithms, counts, repeats, cfg, test_count=5):
-    """task_count_sweep as a plan for run_plans; its checks run here."""
+    """task_count_sweep as a plan for run_plans. Its checks:
+
+    - every algorithm is a meta-learner;
+    - test_count is in 1..len(scenarios) - 1;
+    - every count is in 1..the training scenarios left;
+    - with tb-maml, every count is at least 2, for its importance vector.
+    """
     scenarios = list(scenarios)
     for algorithm in algorithms:
         if algorithm not in meta.META_ALGORITHMS:
             raise ValueError(f"task_count_sweep is for meta-learners, got {algorithm!r}")
-    if min(counts) < 1:
-        raise ValueError(f"task counts must be at least 1, got {min(counts)}")
-    if "tb-maml" in algorithms and min(counts) < 2:
+    available = _train_count(scenarios, test_count)
+    bad = [c for c in counts if not 1 <= c <= available]
+    if bad:
         raise ValueError(
-            f"tb-maml needs task counts of at least 2 for its importance vector, got {min(counts)}"
+            f"task counts {bad} outside 1..{available}, the training scenarios left of "
+            f"{len(scenarios)} after test_count {test_count}"
         )
-    available = len(scenarios) - test_count
-    if max(counts) > available:
+    low = [c for c in counts if c < 2]
+    if "tb-maml" in algorithms and low:
         raise ValueError(
-            f"max count {max(counts)} exceeds available training scenarios {available}"
+            f"tb-maml needs task counts of at least 2 for its importance vector, got {low}"
         )
     jobs = [
         (_sweep_cell, (scenarios, algorithm, int(count), repeat, cfg, test_count))

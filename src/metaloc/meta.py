@@ -246,6 +246,8 @@ def cross_transfer(
 
 def pick_transfer_source(candidates: Sequence[Scenario], seed: int) -> Scenario:
     """The transfer baseline's source scenario, drawn from the seed's own substream."""
+    if not candidates:
+        raise ValueError("transfer needs at least 1 source scenario, got 0")
     return candidates[int(substream(seed, "transfer-source").integers(len(candidates)))]
 
 

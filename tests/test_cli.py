@@ -115,6 +115,15 @@ def test_importance_zero_shots(tmp_path):
     assert [len(row) for row in matrix] == [3, 3, 3]
 
 
+def test_importance_one_scenario_is_error(tmp_path, capsys):
+    data = gen(tmp_path, n=1)
+    out = tmp_path / "importance.json"
+    rc = main(["importance", "--data", str(data), "--k", "1", "--out", str(out)] + FAST_FLAGS)
+    assert rc == 3
+    assert "importance needs at least 2 training tasks, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_importance_missing_dir_is_data_error(tmp_path):
     rc = main(
         ["importance", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "u.json")]
@@ -175,6 +184,16 @@ def test_train_conventional_and_transfer(tmp_path):
         )
         assert rc == 0
         assert (out / "checkpoint.json").exists()
+
+
+def test_train_transfer_without_source_scenario_is_error(tmp_path, capsys):
+    data = gen(tmp_path, n=1)
+    out = tmp_path / "o"
+    rc = main(["train", "--algo", "transfer", "--data", str(data), "--k", "1", "--out", str(out)]
+              + FAST_FLAGS)
+    assert rc == 3
+    assert "transfer needs at least 1 source scenario, got 0" in capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
 
 
 def test_train_target_out_of_range_usage_error(tmp_path, capsys):
@@ -364,18 +383,20 @@ def test_bench_runs_every_cell_in_one_batch(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "flags, reason",
     [
-        (["--counts", "4"], "--counts [4] outside 1..3"),
-        (["--counts", "2,0"], "--counts [0] outside 1..3"),
-        (["--test-scenarios", "2", "--counts", "3"], "--counts [3] outside 1..2"),
-        (["--test-scenarios", "4"], "--test-scenarios 4 outside 1..3 for 4 scenarios"),
-        (["--matrix-scenarios", "1"], "--matrix-scenarios must be at least 2, got 1"),
-        (["--shots", "0"], "--shots [0] below 1"),
-        (["--shots", "1,-1"], "--shots [-1] below 1 with meta-learners ['fomaml']"),
-        (["--algos", "conventional", "--shots", "2,-1"], "--shots [-1] below 0"),
+        (["--counts", "4"], "task counts [4] outside 1..3"),
+        (["--counts", "2,0"], "task counts [0] outside 1..3"),
+        (["--test-scenarios", "2", "--counts", "3"], "task counts [3] outside 1..2"),
+        (["--test-scenarios", "4"], "test_count 4 outside 1..3 for 4 scenarios"),
+        (["--matrix-scenarios", "1"], "--matrix-scenarios 1 outside 2..4 for 4 scenarios"),
+        (["--shots", "0"], "shot counts [0] below 1"),
+        (["--shots", "1,-1"], "shot counts [-1] below 1 with meta-learners ['fomaml']"),
+        (["--algos", "conventional", "--shots", "2,-1"], "shot counts [-1] below 0"),
         (["--algos", "conventional,tb-maml", "--test-scenarios", "3"],
-         "tb-maml needs at least 2 training scenarios, but --test-scenarios 3 leaves 1 of 4"),
-        (["--algos", "tb-maml", "--counts", "1"], "--counts [1] below 2: tb-maml needs at least 2"),
-        (["--matrix-scenarios", "5"], "--matrix-scenarios 5 above the 4 scenarios"),
+         "tb-maml needs at least 2 training scenarios for its importance vector, "
+         "got 1 (4 scenarios, 3 for testing)"),
+        (["--algos", "tb-maml", "--counts", "1"],
+         "tb-maml needs task counts of at least 2 for its importance vector, got [1]"),
+        (["--matrix-scenarios", "5"], "--matrix-scenarios 5 outside 2..4 for 4 scenarios"),
     ],
     ids=["count-above-training", "count-zero", "count-above-fewer-training", "no-training-scenario",
          "one-matrix-scenario", "zero-shots-meta", "negative-later-shots", "negative-shots-baseline",

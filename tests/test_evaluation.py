@@ -109,7 +109,7 @@ def test_matrix_shape_and_validation():
     m = cross_scenario_matrix(scenarios, cfg, fine_tune_shots=0)
     assert m.shape == (3, 3)
     assert np.all(np.isfinite(m)) and np.all(m >= 0)
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ValueError, match="at least 2 scenarios, got 1"):
         cross_scenario_matrix(scenarios[:1], cfg)
     with pytest.raises(ValueError, match="fine_tune_shots"):
         cross_scenario_matrix(scenarios, cfg, fine_tune_shots=3)
@@ -326,12 +326,29 @@ def test_tb_maml_with_one_training_scenario_fails_before_any_cell(monkeypatch):
     scenarios = small_scenarios(4)
     with pytest.raises(ValueError, match=r"tb-maml needs at least 2 training scenarios .*got 1"):
         evaluation.benchmark_plan(scenarios, ["conventional", "tb-maml"], [1], 1, quick_cfg(), test_count=3)
-    with pytest.raises(ValueError, match="tb-maml needs task counts of at least 2 .*got 1"):
+    with pytest.raises(ValueError, match=r"tb-maml needs task counts of at least 2 .*got \[1\]"):
         evaluation.sweep_plan(scenarios, ["fomaml", "tb-maml"], [1, 2], 1, quick_cfg(), test_count=1)
     assert submitted == []
     # one training scenario stays valid for the algorithms that need no importance vector
     evaluation.benchmark_plan(scenarios, ["conventional", "fomaml"], [1], 1, quick_cfg(), test_count=3)
     evaluation.sweep_plan(scenarios, ["fomaml"], [1, 2], 1, quick_cfg(), test_count=1)
+
+
+@pytest.mark.parametrize("test_count", [0, 3, 4], ids=["zero", "all", "above"])
+def test_plans_reject_test_count_out_of_range_before_any_cell(monkeypatch, test_count):
+    submitted = []
+    monkeypatch.setattr(evaluation, "_run_cells", lambda fn, cells, workers: submitted.append(cells))
+    scenarios = small_scenarios(3)
+    reason = rf"test_count {test_count} outside 1..2 for 3 scenarios"
+    with pytest.raises(ValueError, match=reason):
+        evaluation.run_plans(
+            evaluation.benchmark_plan(scenarios, ["conventional"], [1], 1, quick_cfg(), test_count=test_count)
+        )
+    with pytest.raises(ValueError, match=reason):
+        evaluation.run_plans(
+            evaluation.sweep_plan(scenarios, ["fomaml"], [1], 1, quick_cfg(), test_count=test_count)
+        )
+    assert submitted == []
 
 
 def test_sweep_structure_and_shared_subsets():
@@ -342,7 +359,7 @@ def test_sweep_structure_and_shared_subsets():
     )
     assert set(out) == {("fomaml", 2), ("fomaml", 4)}
     assert len(out[("fomaml", 2)]["per_repeat"]) == 2
-    with pytest.raises(ValueError, match="exceeds available"):
+    with pytest.raises(ValueError, match=r"task counts \[5\] outside 1..4"):
         evaluation.task_count_sweep(
             scenarios, ["fomaml"], counts=[5], repeats=1, cfg=cfg, test_count=2
         )
@@ -350,7 +367,7 @@ def test_sweep_structure_and_shared_subsets():
         evaluation.task_count_sweep(
             scenarios, ["conventional"], counts=[2], repeats=1, cfg=cfg, test_count=2
         )
-    with pytest.raises(ValueError, match="at least 1, got 0"):
+    with pytest.raises(ValueError, match=r"task counts \[0\] outside 1..4"):
         evaluation.task_count_sweep(
             scenarios, ["fomaml"], counts=[0, 2], repeats=1, cfg=cfg, test_count=2
         )

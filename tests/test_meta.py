@@ -267,6 +267,11 @@ def test_compute_importance_structure():
         meta.compute_importance(scenarios[:1], cfg)
 
 
+def test_pick_transfer_source_without_candidates_names_the_reason():
+    with pytest.raises(ValueError, match="transfer needs at least 1 source scenario, got 0"):
+        meta.pick_transfer_source([], seed=0)
+
+
 def test_meta_train_zero_iterations_returns_init():
     scenarios = small_scenarios(2)
     cfg = quick_cfg(meta_iterations=0)
