@@ -12,6 +12,8 @@ requested (``wrt``) tensor: history older than the requested tensors is
 never re-differentiated, so inner step k of a second-order adaptation
 records what step 0 does. A requested tensor's gradient still counts every
 path to the output, including paths through other requested tensors.
+A backward pass holds the graph plus only the gradients not yet
+propagated: each other gradient is dropped once its node's rule has run.
 
 The op family is exactly what the localization CNN and its MSE loss need:
 add, sub, scalar multiply, matmul, conv1d (stride 1, any kernel and
@@ -547,6 +549,11 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
     Backward rules run only for nodes downstream of a wrt tensor, so none
     runs for the history behind a non-leaf wrt tensor. Each wrt gradient
     is still the total derivative: paths through other wrt tensors count.
+
+    Nodes run in reverse topological order, so a tensor's gradient is
+    complete when its node's rule runs; it is dropped right after, unless
+    the tensor is in wrt. The pass holds the graph plus only the gradients
+    not yet propagated.
     """
     if output.size != 1:
         raise ShapeError(f"grad: output must be scalar, got shape {output.shape}")
@@ -559,6 +566,7 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
     order = toposort(output)
     # only nodes downstream of wrt can carry gradient to it: mark the
     # tracked wrt tensors, then every node with a marked parent
+    kept = {id(t) for t in wrt}
     marked = {id(t) for t in wrt if t.requires_grad or t.node is not None}
     downstream = []
     for t in order:
@@ -567,7 +575,7 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
             downstream.append(t)
     with nullcontext() if create_graph else no_grad():
         for t in reversed(downstream):
-            g = grads.get(id(t))
+            g = grads.get(id(t)) if id(t) in kept else grads.pop(id(t), None)
             if g is None:
                 continue
             parent_grads = t.node.vjp(g)

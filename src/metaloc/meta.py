@@ -107,6 +107,10 @@ class MetaConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
+        for name in ("alpha", "beta", "gamma", "baseline_lr", "step_floor", "convergence_tol"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -265,7 +269,10 @@ def _meta_gradients(
     the query gradients at the adapted weights (which line up with the
     initialization tensor-for-tensor). Either way each task's gradient is
     taken as soon as that task is adapted, and the gradients are summed in
-    batch order, so peak memory is one task's graph, not the meta-batch's.
+    batch order. The task's adapted weights and query loss, the only
+    references to its graph, are deleted as soon as its gradient is taken,
+    so no graph outlives its gradient and peak memory is one task's graph,
+    not the meta-batch's.
 
     A task that appears more than once (the same TaskData object; tasks are
     keyed by identity, never compared with ==) is adapted and differentiated
@@ -285,6 +292,7 @@ def _meta_gradients(
             )
             q = loss_fn(adapted, task.query)
             held[key] = grad(q, (params if second_order else adapted).tensors()), q.item()
+            del adapted, q
         g, loss_value = held[key] if last[key] > pos else held.pop(key)
         query_losses.append(loss_value)
         grads = g if grads is None else [a + b for a, b in zip(grads, g)]

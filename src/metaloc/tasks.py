@@ -132,7 +132,10 @@ def generate_scenario(
     grid = config.grid
     if grid.rows * grid.cols < 2:
         raise ValueError(f"degenerate grid: rows*cols = {grid.rows * grid.cols} < 2")
-    if grid.spacing_cm <= 0:
+    # the widest span drawn from is the reflectors': the grid's extent plus
+    # two margins on either side; numpy rejects a span that is not finite
+    extent = (max(grid.rows, grid.cols) - 1) * grid.spacing_cm
+    if not (grid.spacing_cm > 0 and math.isfinite(extent + 4 * config.tx_margin_cm)):
         raise ValueError(f"degenerate grid: spacing {grid.spacing_cm} cm")
     if config.samples_per_rp < 2:
         raise ValueError(f"samples_per_rp must be >= 2, got {config.samples_per_rp}")

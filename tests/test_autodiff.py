@@ -1,6 +1,7 @@
 """Op-level oracles and differentiation properties for the tensor engine."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,24 @@ def test_wrt_ancestor_of_wrt_gets_total_derivative():
     gu, gt = ad.grad(y, [u, t])
     assert np.array_equal(gu.data, 3 * u0**2)
     assert np.array_equal(gt.data, u0)
+
+
+def test_grad_frees_each_gradient_once_propagated():
+    # every gradient of the chain is complete once its node's rule has run,
+    # so only the gradient in flight and the next one are alive at a time
+    leaf = ad.tensor(np.ones(100_000), requires_grad=True)
+    y = leaf
+    for _ in range(30):
+        y = ad.scale(y, 1.0)
+    y = ad.sum_all(y)
+    tracemalloc.start()
+    try:
+        (g,) = ad.grad(y, [leaf])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g.data, np.ones(100_000))
+    assert peak <= 4 * leaf.data.nbytes
 
 
 # ---------------------------------------------------------------------------

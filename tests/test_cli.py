@@ -65,6 +65,15 @@ def test_gen_rejects_zero_scenarios(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("spacing", ["nan", "inf", "1e308"])
+def test_gen_rejects_non_finite_spacing(tmp_path, spacing, capsys):
+    out = tmp_path / "x"
+    rc = main(["gen", "--scenarios", "2", "--spacing-cm", spacing, "--out", str(out)])
+    assert rc == 3
+    assert "degenerate grid: spacing" in capsys.readouterr().err
+    assert not list(out.glob("scenario_*.json")) and not (out / "run.json").exists()
+
+
 def test_unknown_algo_usage_error(tmp_path):
     data = gen(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -89,6 +98,19 @@ def test_invalid_config_usage_error(tmp_path):
         main(["train", "--algo", "maml", "--data", str(data), "--out", str(tmp_path / "o"),
               "--beta", "0.001", "--gamma", "0.002"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "algo, flag, value",
+    [("maml", "--alpha", "nan"), ("maml", "--gamma", "nan"), ("conventional", "--baseline-lr", "inf")],
+)
+def test_non_finite_config_is_usage_error_before_any_output(tmp_path, algo, flag, value):
+    data = gen(tmp_path)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--algo", algo, "--data", str(data), "--out", str(out), *FAST_FLAGS, flag, value])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_importance_command(tmp_path):
