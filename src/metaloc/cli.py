@@ -157,14 +157,18 @@ def _importance_field(doc: dict, path: Path, name: str, ndim=None):
 def _load_importance(path: Path, scenarios) -> meta.ImportanceVector:
     """The importance vector of a file written on these scenarios' samples.
 
-    A file from before task_digests were recorded is taken as it is. A
-    missing or mistyped field is a data error naming the file and the field.
+    A file from before task_digests were recorded is taken as it is; a
+    file with them has one per task id. A missing or mistyped field is a
+    data error naming the file and the field.
     """
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object, got a {type(doc).__name__}")
     task_ids = _importance_field(doc, path, "task_ids")
     digests = _importance_field(doc, path, "task_digests") if "task_digests" in doc else []
+    if "task_digests" in doc and len(digests) != len(task_ids):
+        n, m = len(digests), len(task_ids)
+        raise DataFormatError(f"{path}: field 'task_digests' has {n} entries for {m} task ids")
     for task_id, digest, scenario in zip(task_ids, digests, scenarios):
         if digest != scenario.digest():
             raise DataFormatError(
@@ -315,7 +319,7 @@ def cmd_bench(args) -> int:
             evaluation.benchmark_plan(
                 scenarios, algorithms, shots, args.repeats, cfg, test_count=args.test_scenarios
             ),
-            evaluation.matrix_plan(scenarios[: args.matrix_scenarios], cfg, fine_tune_shots=0),
+            evaluation.matrix_plan(scenarios[: args.matrix_scenarios], cfg),
         ]
         if args.counts:  # sweep_plan checks them; with no meta-learner it has no cells
             meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]

@@ -1,8 +1,7 @@
 """Metrics and the three benchmark experiments.
 
 - cross_scenario_matrix: how badly a conventionally trained model
-  degrades on other scenarios (the generalization gap), with or without
-  a k-shot fine-tune.
+  degrades on other scenarios (the generalization gap).
 - benchmark: the main few-shot comparison across algorithms and shot
   counts, pooled over seeded repeats that re-partition the scenarios.
 - task_count_sweep: meta-learner error as the number of training tasks
@@ -143,12 +142,12 @@ class EvalReport:
             )
         return rows
 
-    def cdf_table(self, thresholds=DEFAULT_THRESHOLDS_CM) -> list:
-        """CDF rows per cell; the last row is forced out to fraction 1.0."""
+    def cdf_table(self) -> list:
+        """CDF rows per cell at DEFAULT_THRESHOLDS_CM, the last forced out to fraction 1.0."""
         rows = []
         for algorithm, shots in self.cells():
             pop = self.population(algorithm, shots)
-            ts = list(thresholds)
+            ts = list(DEFAULT_THRESHOLDS_CM)
             top = float(np.floor(pop.max()) + 1.0)
             if ts[-1] <= pop.max():
                 ts.append(top)
@@ -304,45 +303,32 @@ def _meta_errors(scenarios, algorithm, shots, repeat, cfg, test_count, count=Non
 
 
 def _matrix_cell(args):
-    scenarios, cfg, fine_tune_shots, i = args
+    scenarios, cfg, i = args
     row = meta.cross_transfer(
         substream_int(cfg.seed, "matrix-init", i), batch_from(scenarios[i].samples),
         [build_task_data(s, cfg.shots, cfg.seed) for s in scenarios],
-        cfg.baseline_epochs, cfg.finetune_epochs if fine_tune_shots else 0, cfg.baseline_lr,
+        cfg.baseline_epochs, 0, cfg.baseline_lr,  # no fine-tune
         lambda tuned, task: float(np.mean(_query_errors(tuned, task))),
     )
     return np.array(row)
 
 
-def matrix_plan(scenarios, cfg, fine_tune_shots=0):
-    """cross_scenario_matrix as a plan for run_plans. Its checks:
-
-    - there are at least 2 scenarios;
-    - fine_tune_shots is 0 or cfg.shots.
+def matrix_plan(scenarios, cfg):
+    """cross_scenario_matrix as a plan for run_plans. Its check: there are
+    at least 2 scenarios.
     """
     scenarios = list(scenarios)
     if len(scenarios) < 2:
         raise ValueError(f"cross_scenario_matrix needs at least 2 scenarios, got {len(scenarios)}")
-    if fine_tune_shots not in (0, cfg.shots):
-        raise ValueError(
-            f"fine_tune_shots must be 0 or cfg.shots={cfg.shots}, got {fine_tune_shots}"
-        )
-    jobs = [(_matrix_cell, (scenarios, cfg, fine_tune_shots, i)) for i in range(len(scenarios))]
+    jobs = [(_matrix_cell, (scenarios, cfg, i)) for i in range(len(scenarios))]
     return jobs, np.stack
 
 
-def cross_scenario_matrix(
-    scenarios: Sequence[Scenario],
-    cfg: MetaConfig,
-    fine_tune_shots: int = 0,
-) -> np.ndarray:
-    """Cell (i, j): mean error of the model trained on scenario i, tested
-    on scenario j's query, optionally fine-tuned with k shots of j first.
-
-    fine_tune_shots must be 0 or cfg.shots (the split that defines each
-    scenario's query set).
+def cross_scenario_matrix(scenarios: Sequence[Scenario], cfg: MetaConfig) -> np.ndarray:
+    """Cell (i, j): mean error of the model trained on all of scenario i,
+    with no fine-tune, on scenario j's query set (the split at cfg.shots).
     """
-    return run_plans(matrix_plan(scenarios, cfg, fine_tune_shots))[0]
+    return run_plans(matrix_plan(scenarios, cfg))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ gradient at the adapted weights and applies it to the initialization
 unchanged; TB-MAML is per-task second-order MAML whose outer step size is
 biased by a per-task importance weight u in [-1, 1]:
 
-    step_j = max(step_floor, beta + gamma * u_j)
+    step_j = max(STEP_FLOOR, beta + gamma * u_j)
 
 The baselines and the importance vector share one cross-transfer
 primitive, cross_transfer: fit a fresh model on a source batch, fine-tune
@@ -57,6 +57,10 @@ __all__ = [
 
 META_ALGORITHMS = ("maml", "fomaml", "tb-maml")
 
+STEP_FLOOR = 1e-6  # lower clamp for the effective TB-MAML outer step
+CONVERGENCE_WINDOW, CONVERGENCE_TOL = 50, 1e-4  # meta_train's early stop; see its docstring
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
+
 
 @dataclass
 class MetaConfig:
@@ -66,7 +70,6 @@ class MetaConfig:
     beta: outer meta-step size.
     gamma: importance-bias intensity; kept <= beta so beta + gamma*u stays
         positive for u in [-1, 1].
-    step_floor: lower clamp for the effective TB-MAML outer step.
     """
 
     alpha: float = 0.01
@@ -76,14 +79,11 @@ class MetaConfig:
     shots: int = 5
     meta_iterations: int = 1000
     meta_batch_size: int = 4
-    step_floor: float = 1e-6
     seed: int = 0
     importance_epochs: int = 300
     baseline_epochs: int = 500
     baseline_lr: float = 0.03
     finetune_epochs: int = 100
-    convergence_window: int = 50
-    convergence_tol: float = 1e-4
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
@@ -98,16 +98,14 @@ class MetaConfig:
         for name, least in (
             ("inner_steps", 0), ("shots", 0), ("meta_iterations", 0), ("importance_epochs", 0),
             ("baseline_epochs", 0), ("finetune_epochs", 0),
-            ("meta_batch_size", 1), ("convergence_window", 1),
+            ("meta_batch_size", 1),
         ):
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        for name in ("baseline_lr", "step_floor"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        for name in ("alpha", "beta", "gamma", "baseline_lr", "step_floor", "convergence_tol"):
+        if not self.baseline_lr > 0:
+            raise ValueError(f"baseline_lr must be > 0, got {self.baseline_lr}")
+        for name in ("alpha", "beta", "gamma", "baseline_lr"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -139,7 +137,6 @@ class TaskData:
     scenario_id: str
     support: tuple  # (X, Y)
     query: tuple  # (X, Y)
-    shots: int
 
 
 def build_task_data(scenario: Scenario, shots: int, seed: int) -> TaskData:
@@ -149,9 +146,11 @@ def build_task_data(scenario: Scenario, shots: int, seed: int) -> TaskData:
     trainers handed the same seed see identical support/query sets.
     """
     support, query = split_task(scenario, shots, substream_int(seed, "split", scenario.id, shots))
-    return TaskData(scenario.id, batch_from(support), batch_from(query), shots)
+    return TaskData(scenario.id, batch_from(support), batch_from(query))
 
 
+# looks model_loss up at call time, so a rebinding of meta.model_loss (the
+# benchmark tracer's) is seen, which a default argument of model_loss would miss
 def _default_loss(params: ParamSet, batch) -> Tensor:
     return model_loss(params, batch)
 
@@ -192,22 +191,21 @@ class Adam:
     identities between the trainers hold on this step as on the plain rule.
     """
 
-    def __init__(self, params: ParamSet, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParamSet):
         self.m = [np.zeros_like(t.data) for t in params.tensors()]
         self.v = [np.zeros_like(t.data) for t in params.tensors()]
         self.t = 0
-        self.b1, self.b2, self.eps = b1, b2, eps
 
     def step(self, params: ParamSet, grads, lr: float) -> ParamSet:
         """New leaf parameters after one step; aborts on non-finite values."""
         self.t += 1
         directions = []
         for i, g in enumerate(grads):
-            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g.data
-            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g.data**2
-            m_hat = self.m[i] / (1 - self.b1**self.t)
-            v_hat = self.v[i] / (1 - self.b2**self.t)
-            directions.append(Tensor(m_hat / (np.sqrt(v_hat) + self.eps)))
+            self.m[i] = ADAM_B1 * self.m[i] + (1 - ADAM_B1) * g.data
+            self.v[i] = ADAM_B2 * self.v[i] + (1 - ADAM_B2) * g.data**2
+            m_hat = self.m[i] / (1 - ADAM_B1**self.t)
+            v_hat = self.v[i] / (1 - ADAM_B2**self.t)
+            directions.append(Tensor(m_hat / (np.sqrt(v_hat) + ADAM_EPS)))
         return params.updated(directions, lr, graph=False)
 
 
@@ -301,11 +299,9 @@ def _meta_gradients(
 
 def effective_step(cfg: MetaConfig, importance: float) -> float:
     step = cfg.beta + cfg.gamma * importance
-    if step < cfg.step_floor:
-        logger.warning(
-            "biased outer step %.3g below floor; clamping to %.3g", step, cfg.step_floor
-        )
-        return cfg.step_floor
+    if step < STEP_FLOOR:
+        logger.warning("biased outer step %.3g below floor; clamping to %.3g", step, STEP_FLOOR)
+        return STEP_FLOOR
     return step
 
 
@@ -388,7 +384,7 @@ def meta_train(
 
     scenarios are the meta-training tasks. Stops after meta_iterations, or
     earlier once the moving-average query loss over the last
-    convergence_window iterations improves by less than convergence_tol
+    CONVERGENCE_WINDOW iterations improves by less than CONVERGENCE_TOL
     versus the window before it. Appends (iteration, task_id, query_loss)
     rows to `trace` when given.
 
@@ -429,7 +425,7 @@ def meta_train(
     optimizer = Adam(params)
     second_order = algorithm != "fomaml"
     history: list = []
-    window = cfg.convergence_window
+    window = CONVERGENCE_WINDOW
 
     def outer_update(current, batch, step_size):
         grads, losses = _meta_gradients(current, batch, cfg, second_order, _default_loss)
@@ -452,7 +448,7 @@ def meta_train(
         if len(history) >= 2 * window:
             recent = float(np.mean(history[-window:]))
             previous = float(np.mean(history[-2 * window : -window]))
-            if previous - recent < cfg.convergence_tol:
+            if previous - recent < CONVERGENCE_TOL:
                 logger.info(
                     "%s converged after %d iterations (window avg %.4f -> %.4f)",
                     algorithm, iteration + 1, previous, recent,

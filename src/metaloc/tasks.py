@@ -11,11 +11,11 @@ format is unchanged: per sample, "rp", "pos_cm" and a flat, antenna-major
 "amp" list of 90 values.
 
 Real capture hardware is out of scope; scenarios come from a synthetic
-channel: log-distance path loss from a random transmitter, shadowing from
-random wall segments, frequency-selective Rician multipath per reference
-point, per-antenna gain/phase variation, per-sample phase jitter plus
-additive noise. Distinct seeds give distinct rooms, which is what makes
-the scenarios behave as distinct tasks.
+channel with fixed parameters (the module constants): log-distance path
+loss from a random transmitter, shadowing from random wall segments,
+frequency-selective Rician multipath per reference point, per-antenna
+gain/phase variation, per-sample phase jitter plus additive noise.
+Distinct seeds give distinct rooms: the scenarios behave as distinct tasks.
 """
 
 from __future__ import annotations
@@ -75,22 +75,24 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Geometry plus channel parameters for the synthetic generator."""
+    """Generator geometry; the channel's parameters are the module constants below."""
 
     grid: GridSpec = field(default_factory=GridSpec)
     samples_per_rp: int = 40
-    subcarrier_spacing_mhz: float = 0.625  # 20 MHz grouped down to 30 bins
-    carrier_ghz: float = 5.2
-    path_loss_exponent: float = 2.5
-    reference_distance_cm: float = 30.0
-    tx_margin_cm: float = 150.0
-    wall_count: int = 3
-    wall_attenuation_db: tuple = (2.0, 9.0)
-    echo_paths: int = 6
-    rician_k: float = 4.0
-    antenna_gain_jitter: float = 0.15
-    sample_phase_jitter: float = 0.25  # radians, per sample per path
-    noise_std: float = 0.01  # additive, relative to the local envelope
+
+
+SUBCARRIER_SPACING_MHZ = 0.625  # 20 MHz grouped down to 30 bins
+CARRIER_GHZ = 5.2
+PATH_LOSS_EXPONENT = 2.5
+REFERENCE_DISTANCE_CM = 30.0
+TX_MARGIN_CM = 150.0
+WALL_COUNT = 3
+WALL_ATTENUATION_DB = (2.0, 9.0)
+ECHO_PATHS = 6
+RICIAN_K = 4.0
+ANTENNA_GAIN_JITTER = 0.15
+SAMPLE_PHASE_JITTER = 0.25  # radians, per sample per path
+NOISE_STD = 0.01  # additive, relative to the local envelope
 
 
 @dataclass
@@ -135,7 +137,7 @@ def generate_scenario(
     # the widest span drawn from is the reflectors': the grid's extent plus
     # two margins on either side; numpy rejects a span that is not finite
     extent = (max(grid.rows, grid.cols) - 1) * grid.spacing_cm
-    if not (grid.spacing_cm > 0 and math.isfinite(extent + 4 * config.tx_margin_cm)):
+    if not (grid.spacing_cm > 0 and math.isfinite(extent + 4 * TX_MARGIN_CM)):
         raise ValueError(f"degenerate grid: spacing {grid.spacing_cm} cm")
     if config.samples_per_rp < 2:
         raise ValueError(f"samples_per_rp must be >= 2, got {config.samples_per_rp}")
@@ -145,44 +147,41 @@ def generate_scenario(
     positions = grid.positions()
     x_hi = (grid.rows - 1) * grid.spacing_cm
     y_hi = (grid.cols - 1) * grid.spacing_cm
-    m = config.tx_margin_cm
+    m = TX_MARGIN_CM
     lo = (-m, -m)
     hi = (x_hi + m, y_hi + m)
 
     tx = (rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]))
 
     walls = []
-    for _ in range(config.wall_count):
+    for _ in range(WALL_COUNT):
         anchor = (rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]))
         angle = rng.uniform(0.0, math.pi)
-        att_db = rng.uniform(*config.wall_attenuation_db)
+        att_db = rng.uniform(*WALL_ATTENUATION_DB)
         walls.append((anchor, (math.cos(angle), math.sin(angle)), att_db))
 
     reflectors = [
         (rng.uniform(lo[0] - m, hi[0] + m), rng.uniform(lo[1] - m, hi[1] + m))
-        for _ in range(config.echo_paths)
+        for _ in range(ECHO_PATHS)
     ]
-    reflect_loss = rng.uniform(0.3, 0.9, size=config.echo_paths)
+    reflect_loss = rng.uniform(0.3, 0.9, size=ECHO_PATHS)
 
     ant_gain = np.clip(
-        1.0 + config.antenna_gain_jitter * rng.standard_normal(antennas),
+        1.0 + ANTENNA_GAIN_JITTER * rng.standard_normal(antennas),
         0.5,
         1.5,
     )
 
-    freqs_mhz = np.arange(subcarriers) * config.subcarrier_spacing_mhz
-    k_f = config.rician_k
-    los_w = math.sqrt(k_f / (k_f + 1.0))
-    nlos_w = math.sqrt(1.0 / (k_f + 1.0))
-    d0 = config.reference_distance_cm
-    ple = config.path_loss_exponent
-    carrier_mhz = config.carrier_ghz * 1e3
+    freqs_mhz = np.arange(subcarriers) * SUBCARRIER_SPACING_MHZ
+    los_w = math.sqrt(RICIAN_K / (RICIAN_K + 1.0))
+    nlos_w = math.sqrt(1.0 / (RICIAN_K + 1.0))
+    carrier_mhz = CARRIER_GHZ * 1e3
 
     n = config.samples_per_rp
     samples = np.empty(len(positions) * n, dtype=SAMPLE_DTYPE)
     for rp_index, pos in enumerate(positions):
-        d_direct = max(math.dist(tx, pos), d0)
-        envelope = (d0 / d_direct) ** (ple / 2.0)
+        d_direct = max(math.dist(tx, pos), REFERENCE_DISTANCE_CM)
+        envelope = (REFERENCE_DISTANCE_CM / d_direct) ** (PATH_LOSS_EXPONENT / 2.0)
         for anchor, direction, att_db in walls:
             if _segment_crosses_line(tx, pos, anchor, direction):
                 envelope *= 10.0 ** (-att_db / 20.0)
@@ -195,7 +194,7 @@ def generate_scenario(
         for refl, rl in zip(reflectors, reflect_loss):
             length = math.dist(tx, refl) + math.dist(refl, pos)
             delays.append(length / SPEED_OF_LIGHT_CM_PER_NS)
-            gains.append(nlos_w * rl * (d_direct / length) ** (ple / 2.0))
+            gains.append(nlos_w * rl * (d_direct / length) ** (PATH_LOSS_EXPONENT / 2.0))
         delays = np.asarray(delays)  # (P,)
         gains = np.asarray(gains)  # (P,)
 
@@ -206,13 +205,13 @@ def generate_scenario(
         sweep = 2.0 * math.pi * delays[:, None] * freqs_mhz[None, :] * 1e-3
         static = base_phase[:, None, None] + ant_phase[:, :, None] - sweep[:, None, :]
 
-        jitter = config.sample_phase_jitter * rng.standard_normal(
+        jitter = SAMPLE_PHASE_JITTER * rng.standard_normal(
             size=(config.samples_per_rp, len(delays))
         )
         phases = static[None, :, :, :] + jitter[:, :, None, None]
         field_sum = (gains[None, :, None, None] * np.exp(1j * phases)).sum(axis=1)
         amps = envelope * ant_gain[None, :, None] * np.abs(field_sum)
-        amps = amps + config.noise_std * envelope * rng.standard_normal(amps.shape)
+        amps = amps + NOISE_STD * envelope * rng.standard_normal(amps.shape)
         rows = samples[rp_index * n : (rp_index + 1) * n]
         rows["rp"], rows["pos_cm"], rows["amp"] = rp_index, pos, np.maximum(amps, 0.0)
 
@@ -306,13 +305,14 @@ def load_scenario(path) -> Scenario:
 
     sid = _require(doc, "id", where)
     grid_doc = _require(doc, "grid", where)
-    for key in ("rows", "cols", "spacing_cm"):
-        _require(grid_doc, key, f"{where}: grid")
-    grid = GridSpec(
-        rows=int(grid_doc["rows"]),
-        cols=int(grid_doc["cols"]),
-        spacing_cm=float(grid_doc["spacing_cm"]),
-    )
+    if not isinstance(grid_doc, dict):
+        raise DataFormatError(f"{where}: 'grid' must be an object")
+    for key, kinds in (("rows", (int,)), ("cols", (int,)), ("spacing_cm", (int, float))):
+        value = _require(grid_doc, key, f"{where}: grid")
+        if type(value) not in kinds:  # not a bool, and not a row count of 2.5
+            kind = "an integer" if kinds == (int,) else "a number"
+            raise DataFormatError(f"{where}: grid {key} must be {kind}, got {value!r}")
+    grid = GridSpec(grid_doc["rows"], grid_doc["cols"], float(grid_doc["spacing_cm"]))
     positions = grid.positions()
 
     raw = _require(doc, "samples", where)
@@ -320,24 +320,33 @@ def load_scenario(path) -> Scenario:
         raise DataFormatError(f"{where}: 'samples' must be a list")
     samples = np.empty(len(raw), dtype=SAMPLE_DTYPE)
     expected = math.prod(AMP_SHAPE)
-    for i, entry in enumerate(raw):
-        ctx = f"{where}: samples[{i}]"
-        rp = int(_require(entry, "rp", ctx))
-        pos = _require(entry, "pos_cm", ctx)
-        amp = _require(entry, "amp", ctx)
-        if len(pos) != 2:
-            raise DataFormatError(f"{ctx}: pos_cm must have 2 entries, got {len(pos)}")
-        if len(amp) != expected:
-            raise DataFormatError(f"{ctx}: amp must have {expected} entries, got {len(amp)}")
-        if not 0 <= rp < len(positions):
-            raise DataFormatError(f"{ctx}: rp {rp} is outside [0, {len(positions)})")
-        pos = (float(pos[0]), float(pos[1]))
-        if pos != positions[rp]:
-            raise DataFormatError(f"{ctx}: {pos} is not reference point {rp} at {positions[rp]}")
-        arr = np.asarray(amp, dtype=np.float64).reshape(AMP_SHAPE)
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise DataFormatError(f"{ctx}: amplitudes must be finite and non-negative")
-        samples[i] = rp, pos, arr
+    # a value of the wrong JSON type fails the conversion of field `key`
+    try:
+        for i, entry in enumerate(raw):
+            ctx = f"{where}: samples[{i}]"
+            key = "rp"
+            rp = int(_require(entry, key, ctx))
+            key = "pos_cm"
+            pos = _require(entry, key, ctx)
+            if len(pos) != 2:
+                raise DataFormatError(f"{ctx}: pos_cm must have 2 entries, got {len(pos)}")
+            pos = (float(pos[0]), float(pos[1]))
+            key = "amp"
+            amp = _require(entry, key, ctx)
+            if len(amp) != expected:
+                raise DataFormatError(f"{ctx}: amp must have {expected} entries, got {len(amp)}")
+            arr = np.asarray(amp, dtype=np.float64).reshape(AMP_SHAPE)
+            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+                raise DataFormatError(f"{ctx}: amplitudes must be finite and non-negative")
+            if not 0 <= rp < len(positions):
+                raise DataFormatError(f"{ctx}: rp {rp} is outside [0, {len(positions)})")
+            if pos != positions[rp]:
+                raise DataFormatError(f"{ctx}: {pos} is not reference point {rp} at {positions[rp]}")
+            samples[i] = rp, pos, arr
+    except (TypeError, ValueError, KeyError) as e:
+        if not isinstance(entry, dict):
+            raise DataFormatError(f"{ctx}: must be an object, got {type(entry).__name__}") from None
+        raise DataFormatError(f"{ctx}: field {key!r} has a value of the wrong type: {e}") from None
     missing = sorted(set(range(len(positions))) - set(samples["rp"].tolist()))
     if missing:
         raise DataFormatError(f"{where}: no samples for reference point(s) {missing}")

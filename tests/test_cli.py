@@ -1,5 +1,6 @@
 """End-to-end command behavior: files, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import signal
@@ -11,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metaloc import evaluation
-from metaloc.cli import main
+from metaloc import evaluation, meta
+from metaloc.cli import _CONFIG_FLAGS, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -260,6 +261,30 @@ def test_train_tb_maml_importance_of_other_rooms_is_error(tmp_path, capsys):
     del doc["task_digests"]  # a file from before digests were recorded
     imp.write_text(json.dumps(doc))
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("keep", [0, 2, 4], ids=["empty", "short", "long"])
+def test_train_tb_maml_importance_digest_count_must_match_task_ids(tmp_path, capsys, keep):
+    other = gen(tmp_path / "other", n=3, seed=9)
+    imp = tmp_path / "importance.json"
+    assert main(["importance", "--data", str(other), "--k", "1", "--out", str(imp)] + FAST_FLAGS) == 0
+    doc = json.loads(imp.read_text())
+    doc["task_digests"] = (doc["task_digests"] * 2)[:keep]
+    imp.write_text(json.dumps(doc))
+    data = gen(tmp_path, n=3, seed=1)
+    rc = main(
+        ["train", "--algo", "tb-maml", "--data", str(data), "--k", "1", "--importance", str(imp),
+         "--out", str(tmp_path / "o")] + FAST_FLAGS
+    )
+    assert rc == 3
+    assert f"{imp}: field 'task_digests' has {keep} entries for 3 task ids" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+
+def test_config_flags_cover_every_meta_config_field():
+    # every MetaConfig field is set from the command line: a flag, --k or --seed
+    fields = {f.name for f in dataclasses.fields(meta.MetaConfig)}
+    assert fields == {name for _, name, _, _ in _CONFIG_FLAGS} | {"shots", "seed"}
 
 
 IDS = ["scenario_000", "scenario_001", "scenario_002"]

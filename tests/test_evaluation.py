@@ -106,13 +106,11 @@ def test_report_cdf_table_ends_at_one():
 def test_matrix_shape_and_validation():
     scenarios = small_scenarios(3)
     cfg = quick_cfg()
-    m = cross_scenario_matrix(scenarios, cfg, fine_tune_shots=0)
+    m = cross_scenario_matrix(scenarios, cfg)
     assert m.shape == (3, 3)
     assert np.all(np.isfinite(m)) and np.all(m >= 0)
     with pytest.raises(ValueError, match="at least 2 scenarios, got 1"):
         cross_scenario_matrix(scenarios[:1], cfg)
-    with pytest.raises(ValueError, match="fine_tune_shots"):
-        cross_scenario_matrix(scenarios, cfg, fine_tune_shots=3)
 
 
 def test_matrix_duplicate_scenarios_off_diagonal_matches_diagonal():
@@ -122,7 +120,7 @@ def test_matrix_duplicate_scenarios_off_diagonal_matches_diagonal():
     twin = copy.deepcopy(base)
     twin.id = "scenario_twin"
     cfg = quick_cfg(baseline_epochs=30)
-    m = cross_scenario_matrix([base, twin], cfg, fine_tune_shots=0)
+    m = cross_scenario_matrix([base, twin], cfg)
     # identical data: training on one is training on the other
     assert abs(m[0, 1] - m[0, 0]) <= 0.35 * max(m[0, 0], 1.0)
     assert abs(m[1, 0] - m[1, 1]) <= 0.35 * max(m[1, 1], 1.0)
@@ -197,7 +195,7 @@ def test_results_independent_of_worker_count(monkeypatch):
     scenarios = small_scenarios(4)
     cfg = quick_cfg()
     bench_args = (scenarios, evaluation.ALL_ALGORITHMS, [1], 1, cfg, 1)
-    matrix_args = (scenarios[:2], cfg, 1)
+    matrix_args = (scenarios[:2], cfg)
     sweep_args = (scenarios, ["fomaml"], [2], 1, cfg, 1)
     runs = []
     for workers in ("1", "2"):

@@ -20,7 +20,7 @@ def toy_loss(params, target):
 
 
 def toy_task(c):
-    return TaskData(scenario_id=f"c={c}", support=c, query=c, shots=0)
+    return TaskData(scenario_id=f"c={c}", support=c, query=c)
 
 
 def theta_at(value):
@@ -73,9 +73,6 @@ def test_config_validation():
         ("baseline_lr", 0.0, "must be > 0"),
         ("baseline_lr", -0.03, "must be > 0"),
         ("baseline_lr", float("nan"), "must be > 0"),
-        ("step_floor", 0.0, "must be > 0"),
-        ("step_floor", -1e-6, "must be > 0"),
-        ("convergence_window", 0, "must be >= 1"),
     ],
 )
 def test_config_rejects_invalid_budgets_and_rates(name, value, reason):
@@ -92,10 +89,6 @@ def test_config_rejects_invalid_budgets_and_rates(name, value, reason):
         ("beta", float("inf")),
         ("gamma", float("nan")),
         ("baseline_lr", float("inf")),
-        ("step_floor", float("inf")),
-        ("convergence_tol", float("nan")),
-        ("convergence_tol", float("inf")),
-        ("convergence_tol", float("-inf")),
     ],
 )
 def test_config_rejects_non_finite_rates(name, value):
@@ -204,14 +197,14 @@ def test_tb_effective_step_arithmetic():
 def test_tb_step_floor_clamps_invalid_config():
     cfg = MetaConfig(beta=0.001, gamma=0.001)
     cfg.gamma = 0.01  # invalid combination, bypassing validation on purpose
-    assert meta.effective_step(cfg, -1.0) == cfg.step_floor
+    assert meta.effective_step(cfg, -1.0) == meta.STEP_FLOOR
 
 
 def test_tb_effective_step_always_within_bounds():
     cfg = MetaConfig(beta=0.001, gamma=0.0005)
     for u in np.linspace(-1, 1, 41):
         step = meta.effective_step(cfg, float(u))
-        assert cfg.step_floor <= step <= cfg.beta + cfg.gamma
+        assert meta.STEP_FLOOR <= step <= cfg.beta + cfg.gamma
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +571,7 @@ def test_repeated_task_gradients_are_bitwise_the_per_position_sum(second_order):
     second_order=st.booleans(),
 )
 def test_meta_gradients_equal_per_position_sum_over_random_batches(constants, picks, at, second_order):
-    toys = [TaskData(f"toy{i}", support=s, query=q, shots=0) for i, (s, q) in enumerate(constants)]
+    toys = [TaskData(f"toy{i}", support=s, query=q) for i, (s, q) in enumerate(constants)]
     batch = [toys[i % len(toys)] for i in picks]
     cfg = toy_cfg(inner_steps=2)
     expected, expected_losses = summed_one_task_batches(theta_at(at), batch, cfg, second_order, toy_loss)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,23 @@ def test_amplitude_monotone_with_distance_in_expectation():
         near.append(max(means))
         far.append(min(means))
     assert np.mean(near) >= np.mean(far)
+
+
+@pytest.mark.parametrize(
+    "seed, amp_sum, amp_sum_sq",
+    [(0, 9431.736552453942, 4614.788336515227), (2305, 2287.0977357434576, 241.04196358625555)],
+)
+def test_generator_output_is_pinned(seed, amp_sum, amp_sum_sq):
+    # reference sums of the default channel: a change to any channel constant or to
+    # the generator's arithmetic shows here
+    scenario = tasks.generate_scenario(seed)
+    amp = scenario.samples["amp"]
+    assert amp.sum() == pytest.approx(amp_sum, rel=1e-12, abs=0)
+    assert (amp**2).sum() == pytest.approx(amp_sum_sq, rel=1e-12, abs=0)
+    rps = np.repeat(np.arange(12), 40)
+    assert np.array_equal(scenario.samples["rp"], rps)
+    grid = [(r * 60.0, c * 60.0) for r in range(3) for c in range(4)]
+    assert np.array_equal(scenario.samples["pos_cm"], np.array(grid)[rps])
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +283,35 @@ def test_load_rejects_misaligned_labels(tmp_path, edit, match):
     doc["samples"] = edit(doc["samples"])
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError, match=match):
+        tasks.load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda doc: doc["samples"].__setitem__(3, 5), r"samples\[3\]: must be an object, got int"),
+        (lambda doc: doc["samples"][3].update(pos_cm=5), r"samples\[3\]: field 'pos_cm'"),
+        (lambda doc: doc["samples"][3].update(pos_cm={"x": 0.0, "y": 0.0}), r"samples\[3\]: field 'pos_cm'"),
+        (lambda doc: doc["samples"][3].update(amp=None), r"samples\[3\]: field 'amp'"),
+        (lambda doc: doc["samples"][3]["amp"].__setitem__(0, "x"), r"samples\[3\]: field 'amp'.*'x'"),
+        (lambda doc: doc["samples"][3].update(rp=None), r"samples\[3\]: field 'rp'"),
+        (lambda doc: doc.update(grid=5), r"'grid' must be an object"),
+        (lambda doc: doc["grid"].update(rows=2.5), r"grid rows must be an integer, got 2.5"),
+        (lambda doc: doc["grid"].update(cols="4"), r"grid cols must be an integer, got '4'"),
+        (lambda doc: doc["grid"].update(spacing_cm=None), r"grid spacing_cm must be a number, got None"),
+    ],
+    ids=[
+        "sample-int", "pos-int", "pos-object", "amp-null", "amp-string-entry",
+        "rp-null", "grid-int", "rows-fraction", "cols-string", "spacing-null",
+    ],
+)
+def test_load_rejects_wrong_json_types(tmp_path, edit, match):
+    path = tmp_path / "scenario_000.json"
+    tasks.save_scenario(tasks.generate_scenario(16, small_config()), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=re.escape(str(path)) + ".*" + match):
         tasks.load_scenario(path)
 
 
