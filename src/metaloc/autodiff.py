@@ -41,13 +41,11 @@ __all__ = [
     "ShapeError",
     "NumericError",
     "Tensor",
-    "tensor",
     "no_grad",
     "add",
     "sub",
     "mul",
     "scale",
-    "neg",
     "matmul",
     "transpose",
     "relu",
@@ -159,13 +157,6 @@ class Tensor:
         return add(self, _coerce(other))
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    """Public constructor; rejects non-finite input values outright."""
-    t = Tensor(data, requires_grad=requires_grad)
-    t.check_finite("tensor construction")
-    return t
-
-
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -236,7 +227,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
 
     def vjp(g: Tensor):
-        return (_sum_to(g, a.shape), neg(_sum_to(g, b.shape)))
+        return (_sum_to(g, a.shape), scale(_sum_to(g, b.shape), -1.0))
 
     return _make(a.data - b.data, "sub", (a, b), vjp)
 
@@ -257,10 +248,6 @@ def scale(a: Tensor, s: float) -> Tensor:
         return (scale(g, s),)
 
     return _make(a.data * s, "scale", (a,), vjp)
-
-
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -157,16 +157,15 @@ def _importance_field(doc: dict, path: Path, name: str, ndim=None):
 def _load_importance(path: Path, scenarios) -> meta.ImportanceVector:
     """The importance vector of a file written on these scenarios' samples.
 
-    A file from before task_digests were recorded is taken as it is; a
-    file with them has one per task id. A missing or mistyped field is a
-    data error naming the file and the field.
+    The file holds one task digest per task id. A missing or mistyped
+    field is a data error naming the file and the field.
     """
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object, got a {type(doc).__name__}")
     task_ids = _importance_field(doc, path, "task_ids")
-    digests = _importance_field(doc, path, "task_digests") if "task_digests" in doc else []
-    if "task_digests" in doc and len(digests) != len(task_ids):
+    digests = _importance_field(doc, path, "task_digests")
+    if len(digests) != len(task_ids):
         n, m = len(digests), len(task_ids)
         raise DataFormatError(f"{path}: field 'task_digests' has {n} entries for {m} task ids")
     for task_id, digest, scenario in zip(task_ids, digests, scenarios):
@@ -374,8 +373,8 @@ def cmd_bench(args) -> int:
         sweep_path,
         ["algorithm", "task_count", "mean_error_cm"],
         [
-            (algo, count, f"{cell['mean_cm']:.6f}")
-            for (algo, count), cell in sorted(sweep[0].items() if sweep else ())
+            (algo, count, f"{mean:.6f}")
+            for (algo, count), mean in sorted(sweep[0].items() if sweep else ())
         ],
     )
     outputs.append(sweep_path)

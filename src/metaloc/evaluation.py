@@ -27,12 +27,13 @@ environment). One pool serves the whole process: it starts on first use
 and every batch reuses it. Because every worker count runs the same code
 at the same BLAS thread count, results do not depend on the number of
 workers (METALOC_THREADS). A worker never starts a pool of its own: a
-batch submitted from inside a cell (meta_train("tb-maml") computing its
-importance vector in a benchmark or sweep cell) runs inline in that
-worker, in order, at the same single BLAS thread. Under spawn a worker
-imports the caller's main module, so a script that calls benchmark,
-cross_scenario_matrix, task_count_sweep, run_plans, meta.compute_importance
-or meta.meta_train("tb-maml") without an importance vector must keep that
+batch submitted from a process that has a multiprocessing parent, such
+as a cell (meta_train("tb-maml") computing its importance vector in a
+benchmark or sweep cell), runs inline in that process, in order, at the
+same single BLAS thread. Under spawn a worker imports the caller's main
+module, so a script that calls benchmark, cross_scenario_matrix,
+task_count_sweep, run_plans, meta.compute_importance or
+meta.meta_train("tb-maml") without an importance vector must keep that
 call under an `if __name__ == "__main__":` guard.
 """
 
@@ -192,13 +193,6 @@ def worker_count() -> int:
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 _pool = None  # (workers, ProcessPoolExecutor) shared by every experiment in this process
-_in_worker = False  # True in a pool worker, where _run_cells maps cells inline
-
-
-def _mark_worker() -> None:
-    """Pool initializer: this process is a worker."""
-    global _in_worker
-    _in_worker = True
 
 
 @contextmanager
@@ -221,17 +215,18 @@ def _run_cells(fn, cells, workers: int):
     workers; order preserved.
 
     The pool launches a worker at a submit that finds none idle, not at
-    construction, so every submit runs under _worker_env. In a pool worker
-    the cells run inline, in order, and no second pool starts.
+    construction, so every submit runs under _worker_env. In a pool worker,
+    a process with a multiprocessing parent, the cells run inline, in
+    order, and no second pool starts.
     """
     global _pool
-    if _in_worker:
+    if multiprocessing.parent_process() is not None:
         return [fn(cell) for cell in cells]
     if _pool is not None and _pool[0] != workers:
         _close_pool()
     if _pool is None:
         context = multiprocessing.get_context("spawn")
-        _pool = (workers, ProcessPoolExecutor(workers, mp_context=context, initializer=_mark_worker))
+        _pool = (workers, ProcessPoolExecutor(workers, mp_context=context))
     try:
         with _worker_env():
             results = _pool[1].map(fn, cells)
@@ -471,13 +466,8 @@ def sweep_plan(scenarios, algorithms, counts, repeats, cfg, test_count=5):
     def assemble(outputs) -> dict:
         pooled: dict = {}
         for algorithm, count, repeat, errors in outputs:
-            slot = pooled.setdefault((algorithm, count), {"per_repeat": [], "errors": []})
-            slot["per_repeat"].append(float(np.mean(errors)))
-            slot["errors"].extend(float(e) for e in errors)
-        return {
-            key: {"mean_cm": float(np.mean(val["errors"])), "per_repeat": val["per_repeat"]}
-            for key, val in pooled.items()
-        }
+            pooled.setdefault((algorithm, count), []).extend(float(e) for e in errors)
+        return {key: float(np.mean(errors)) for key, errors in pooled.items()}
 
     return jobs, assemble
 
@@ -492,6 +482,7 @@ def task_count_sweep(
 ) -> dict:
     """Mean error per (algorithm, training-task count), pooled over repeats.
 
-    Returns {(algorithm, count): {"mean_cm", "per_repeat": [...]}}.
+    Returns {(algorithm, count): mean error in cm over every test sample
+    of every repeat}.
     """
     return run_plans(sweep_plan(scenarios, algorithms, counts, repeats, cfg, test_count))[0]

@@ -24,13 +24,13 @@ importance).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, grad, no_grad
-from .model import ParamSet, init_params, loss as model_loss, predict_positions
+from .model import init_params, loss as model_loss, predict_positions, sgd_step
 from .seeding import substream, substream_int
 from .tasks import Scenario, batch_from, split_task
 
@@ -120,14 +120,14 @@ class ImportanceVector:
     average_losses: the per-task cross-transfer average loss vector.
     loss_matrix: cell (i, j) is the loss of the model trained on task i
         after fine-tuning on task j's support (NaN on the diagonal).
-    task_ids: the scenario ids of that task order; when non-empty,
-        meta_train requires them to equal its training scenario ids.
+    task_ids: the scenario ids of that task order; meta_train requires
+        them to equal its training scenario ids.
     """
 
     values: np.ndarray
     average_losses: np.ndarray
     loss_matrix: np.ndarray
-    task_ids: list = field(default_factory=list)
+    task_ids: list
 
 
 @dataclass
@@ -151,18 +151,18 @@ def build_task_data(scenario: Scenario, shots: int, seed: int) -> TaskData:
 
 # looks model_loss up at call time, so a rebinding of meta.model_loss (the
 # benchmark tracer's) is seen, which a default argument of model_loss would miss
-def _default_loss(params: ParamSet, batch) -> Tensor:
+def _default_loss(params: dict, batch) -> Tensor:
     return model_loss(params, batch)
 
 
 def inner_adapt(
-    params: ParamSet,
+    params: dict,
     support,
     alpha: float,
     steps: int,
     create_graph: bool = False,
     loss_fn: Callable = _default_loss,
-) -> ParamSet:
+) -> dict:
     """`steps` full-batch gradient-descent steps on the support loss.
 
     With create_graph=True the produced parameters stay differentiable
@@ -172,8 +172,8 @@ def inner_adapt(
     current = params
     for _ in range(steps):
         task_loss = loss_fn(current, support)
-        grads = grad(task_loss, current.tensors(), create_graph=create_graph)
-        current = current.updated(grads, alpha, graph=create_graph)
+        grads = grad(task_loss, current.values(), create_graph=create_graph)
+        current = sgd_step(current, grads, alpha, graph=create_graph)
     return current
 
 
@@ -191,12 +191,12 @@ class Adam:
     identities between the trainers hold on this step as on the plain rule.
     """
 
-    def __init__(self, params: ParamSet):
-        self.m = [np.zeros_like(t.data) for t in params.tensors()]
-        self.v = [np.zeros_like(t.data) for t in params.tensors()]
+    def __init__(self, params: dict):
+        self.m = [np.zeros_like(t.data) for t in params.values()]
+        self.v = [np.zeros_like(t.data) for t in params.values()]
         self.t = 0
 
-    def step(self, params: ParamSet, grads, lr: float) -> ParamSet:
+    def step(self, params: dict, grads, lr: float) -> dict:
         """New leaf parameters after one step; aborts on non-finite values."""
         self.t += 1
         directions = []
@@ -206,10 +206,10 @@ class Adam:
             m_hat = self.m[i] / (1 - ADAM_B1**self.t)
             v_hat = self.v[i] / (1 - ADAM_B2**self.t)
             directions.append(Tensor(m_hat / (np.sqrt(v_hat) + ADAM_EPS)))
-        return params.updated(directions, lr, graph=False)
+        return sgd_step(params, directions, lr, graph=False)
 
 
-def fit_params(params: ParamSet, batch, epochs: int, lr: float) -> ParamSet:
+def fit_params(params: dict, batch, epochs: int, lr: float) -> dict:
     """Full-batch Adam fit, for the non-meta training phases.
 
     The adaptation path must stay plain gradient descent (its update rule
@@ -227,7 +227,7 @@ def fit_params(params: ParamSet, batch, epochs: int, lr: float) -> ParamSet:
         # freed at once, malloc trims the heap top every epoch and the page
         # faults on regrowth slow compute_importance by about a quarter
         task_loss = model_loss(current, batch)
-        current = optimizer.step(current, grad(task_loss, current.tensors()), lr)
+        current = optimizer.step(current, grad(task_loss, current.values()), lr)
     return current
 
 
@@ -254,7 +254,7 @@ def pick_transfer_source(candidates: Sequence[Scenario], seed: int) -> Scenario:
 
 
 def _meta_gradients(
-    params: ParamSet,
+    params: dict,
     tasks: Sequence[TaskData],
     cfg: MetaConfig,
     second_order: bool,
@@ -289,7 +289,7 @@ def _meta_gradients(
                 create_graph=second_order, loss_fn=loss_fn,
             )
             q = loss_fn(adapted, task.query)
-            held[key] = grad(q, (params if second_order else adapted).tensors()), q.item()
+            held[key] = grad(q, (params if second_order else adapted).values()), q.item()
             del adapted, q
         g, loss_value = held[key] if last[key] > pos else held.pop(key)
         query_losses.append(loss_value)
@@ -318,7 +318,7 @@ def importance_from_losses(average_losses) -> np.ndarray:
     return -(2.0 * (losses - lo) / (hi - lo) - 1.0)
 
 
-def _query_loss(params: ParamSet, task: TaskData) -> float:
+def _query_loss(params: dict, task: TaskData) -> float:
     with no_grad():
         return model_loss(params, task.query).item()
 
@@ -379,7 +379,7 @@ def meta_train(
     cfg: MetaConfig,
     importance: Optional[ImportanceVector] = None,
     trace: Optional[list] = None,
-) -> ParamSet:
+) -> dict:
     """Run one meta-training loop and return the learned initialization.
 
     scenarios are the meta-training tasks. Stops after meta_iterations, or
@@ -415,7 +415,7 @@ def meta_train(
                 f"for {len(tasks)} training tasks"
             )
         ids = [t.scenario_id for t in tasks]
-        if importance.task_ids and list(importance.task_ids) != ids:
+        if list(importance.task_ids) != ids:
             raise ValueError(
                 f"importance is for tasks {importance.task_ids}, not the training tasks {ids}"
             )
@@ -457,13 +457,13 @@ def meta_train(
     return params
 
 
-def train_conventional(task: TaskData, cfg: MetaConfig) -> ParamSet:
+def train_conventional(task: TaskData, cfg: MetaConfig) -> dict:
     """Fresh initialization trained only on the task's k-shot support."""
     params = init_params(substream_int(cfg.seed, "init"))
     return fit_params(params, task.support, cfg.baseline_epochs, cfg.baseline_lr)
 
 
-def train_transfer(source: Scenario, target: TaskData, cfg: MetaConfig) -> ParamSet:
+def train_transfer(source: Scenario, target: TaskData, cfg: MetaConfig) -> dict:
     """Train on all of one source scenario, then fine-tune on the target support."""
     (params,) = cross_transfer(
         substream_int(cfg.seed, "init"), batch_from(source.samples), [target],
@@ -472,7 +472,7 @@ def train_transfer(source: Scenario, target: TaskData, cfg: MetaConfig) -> Param
     return params
 
 
-def adapt_and_eval(params: ParamSet, task: TaskData, cfg: MetaConfig) -> np.ndarray:
+def adapt_and_eval(params: dict, task: TaskData, cfg: MetaConfig) -> np.ndarray:
     """Adapt on the test task's support, then distance errors on its query (cm)."""
     adapted = params
     if cfg.inner_steps and task.support[0].shape[0]:

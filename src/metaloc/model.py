@@ -1,4 +1,4 @@
-"""The inner localization network and its parameter container.
+"""The inner localization network, its parameters and their SGD step.
 
 A 1-d CNN maps one normalized CSI amplitude sample (3 antennas x 30
 subcarriers) to a 2-d position estimate in centimeters:
@@ -8,13 +8,17 @@ subcarriers) to a 2-d position estimate in centimeters:
 
 The final layer is linear (regression head). Loss is mean squared error
 over both coordinates, in cm^2.
+
+A model's parameters are a plain dict of name -> Tensor. Its order is the
+order of every gradient list and every update: the model's own dicts
+follow LAYER_SHAPES, and the trainers accept any dict, in its own order.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .autodiff import (
 
 INPUT_SHAPE = (3, 30)
 
-# fixed layer order; checkpoints and ParamSet validation depend on it
+# fixed layer order of the model's parameter dicts; checkpoints are checked against it
 LAYER_SHAPES: tuple = (
     ("conv1.weight", (10, 3, 3)),
     ("conv1.bias", (10,)),
@@ -61,56 +65,29 @@ class CheckpointError(Exception):
     """A parameter file does not match the fixed layer list."""
 
 
-class ParamSet:
-    """Ordered name -> Tensor mapping holding a model's weights.
+def sgd_step(params: dict, grads: Sequence[Tensor], lr: float, graph: bool) -> dict:
+    """One SGD step p - lr*g per tensor of a name -> Tensor dict, in its order.
 
-    Insertion order is significant. The localization model uses the fixed
-    LAYER_SHAPES order; the trainers also use small ad-hoc ParamSets in
-    tests (the container itself is generic).
+    With graph=True the update is recorded, keeping the new parameters
+    differentiable with respect to the old ones (second-order path).
+    Aborts on non-finite results - a diverging run must not continue
+    silently.
     """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: Mapping[str, Tensor]):
-        self._items = dict(items)
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._items[name]
-
-    def names(self) -> list:
-        return list(self._items)
-
-    def tensors(self) -> list:
-        return list(self._items.values())
-
-    def items(self):
-        return self._items.items()
-
-    def updated(self, grads: Sequence[Tensor], lr: float, graph: bool) -> "ParamSet":
-        """One SGD step p - lr*g per tensor.
-
-        With graph=True the update is recorded, keeping the new parameters
-        differentiable with respect to the old ones (second-order path).
-        Aborts on non-finite results - a diverging run must not continue
-        silently.
-        """
-        new = {}
-        for (name, p), g in zip(self.items(), grads):
-            if g.shape != p.shape:
-                raise ShapeError(
-                    f"updated: gradient shape {g.shape} != param {name} {p.shape}"
-                )
-            if graph:
-                t = sub(p, scale(g, lr))
-            else:
-                t = Tensor(p.data - lr * g.data, requires_grad=True)
-            if not np.all(np.isfinite(t.data)):
-                raise NumericError(f"parameter update produced non-finite values in {name}")
-            new[name] = t
-        return ParamSet(new)
+    new = {}
+    for (name, p), g in zip(params.items(), grads):
+        if g.shape != p.shape:
+            raise ShapeError(f"sgd_step: gradient shape {g.shape} != param {name} {p.shape}")
+        if graph:
+            t = sub(p, scale(g, lr))
+        else:
+            t = Tensor(p.data - lr * g.data, requires_grad=True)
+        if not np.all(np.isfinite(t.data)):
+            raise NumericError(f"parameter update produced non-finite values in {name}")
+        new[name] = t
+    return new
 
 
-def init_params(seed: int) -> ParamSet:
+def init_params(seed: int) -> dict:
     """Random weights, deterministic per seed.
 
     Weights are uniform in +-1/sqrt(fan_in); biases start at zero.
@@ -127,14 +104,14 @@ def init_params(seed: int) -> ParamSet:
             fan_in = shape[0]
         bound = 1.0 / np.sqrt(fan_in)
         items[name] = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-    return ParamSet(items)
+    return items
 
 
-def validate_model_params(params: ParamSet) -> None:
+def validate_model_params(params: dict) -> None:
     expected = [name for name, _ in LAYER_SHAPES]
-    if params.names() != expected:
+    if list(params) != expected:
         raise CheckpointError(
-            f"parameter names/order mismatch: got {params.names()}, expected {expected}"
+            f"parameter names/order mismatch: got {list(params)}, expected {expected}"
         )
     for name, shape in LAYER_SHAPES:
         if params[name].shape != shape:
@@ -143,7 +120,7 @@ def validate_model_params(params: ParamSet) -> None:
             )
 
 
-def predict(params: ParamSet, x) -> Tensor:
+def predict(params: dict, x) -> Tensor:
     """Position estimates in cm, (batch, 2), for a (batch, 3, 30) stack of samples."""
     arr = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
     if arr.ndim != 3 or arr.shape[1:] != INPUT_SHAPE:
@@ -161,7 +138,7 @@ def predict(params: ParamSet, x) -> Tensor:
     return add(matmul(h, params["dense5.weight"]), params["dense5.bias"])
 
 
-def loss(params: ParamSet, batch) -> Tensor:
+def loss(params: dict, batch) -> Tensor:
     """Mean squared error (cm^2) over a (samples, positions) batch."""
     x, y = batch
     y = y if isinstance(y, Tensor) else Tensor(np.asarray(y, dtype=np.float64))
@@ -172,13 +149,13 @@ def loss(params: ParamSet, batch) -> Tensor:
     return out
 
 
-def predict_positions(params: ParamSet, x) -> np.ndarray:
+def predict_positions(params: dict, x) -> np.ndarray:
     """Plain-array forward pass (no graph recorded)."""
     with no_grad():
         return predict(params, x).data
 
 
-def save_params(params: ParamSet, path) -> None:
+def save_params(params: dict, path) -> None:
     validate_model_params(params)
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -190,7 +167,7 @@ def save_params(params: ParamSet, path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-def load_params(path) -> ParamSet:
+def load_params(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -214,6 +191,5 @@ def load_params(path) -> ParamSet:
                 f"checkpoint {path}: layer {name} has {arr.size} values for shape {shape}"
             )
         items[name] = Tensor(arr.reshape(shape), requires_grad=True)
-    params = ParamSet(items)
-    validate_model_params(params)
-    return params
+    validate_model_params(items)
+    return items

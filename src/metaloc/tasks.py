@@ -314,10 +314,14 @@ def load_scenario(path) -> Scenario:
             raise DataFormatError(f"{where}: grid {key} must be {kind}, got {value!r}")
     grid = GridSpec(grid_doc["rows"], grid_doc["cols"], float(grid_doc["spacing_cm"]))
     positions = grid.positions()
+    if not positions:
+        raise DataFormatError(f"{where}: grid {grid.rows}x{grid.cols} has no reference points")
 
     raw = _require(doc, "samples", where)
     if not isinstance(raw, list):
         raise DataFormatError(f"{where}: 'samples' must be a list")
+    if not raw:
+        raise DataFormatError(f"{where}: 'samples' is empty")
     samples = np.empty(len(raw), dtype=SAMPLE_DTYPE)
     expected = math.prod(AMP_SHAPE)
     # a value of the wrong JSON type fails the conversion of field `key`
@@ -325,7 +329,9 @@ def load_scenario(path) -> Scenario:
         for i, entry in enumerate(raw):
             ctx = f"{where}: samples[{i}]"
             key = "rp"
-            rp = int(_require(entry, key, ctx))
+            rp = _require(entry, key, ctx)
+            if type(rp) is not int:  # not a bool, and not a point 0.7 read as 0
+                raise DataFormatError(f"{ctx}: field 'rp' must be an integer, got {rp!r}")
             key = "pos_cm"
             pos = _require(entry, key, ctx)
             if len(pos) != 2:

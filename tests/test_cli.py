@@ -14,6 +14,7 @@ import pytest
 
 from metaloc import evaluation, meta
 from metaloc.cli import _CONFIG_FLAGS, main
+from metaloc.tasks import load_scenario_dir
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -258,9 +259,11 @@ def test_train_tb_maml_importance_of_other_rooms_is_error(tmp_path, capsys):
 
     doc = json.loads(imp.read_text())
     assert len(doc["task_digests"]) == 3 and len(set(doc["task_digests"])) == 3
-    del doc["task_digests"]  # a file from before digests were recorded
+    del doc["task_digests"]  # a file without digests cannot be checked
     imp.write_text(json.dumps(doc))
-    assert main(argv) == 0
+    assert main(argv) == 3
+    assert f"{imp}: missing field 'task_digests'" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "checkpoint.json").exists()
 
 
 @pytest.mark.parametrize("keep", [0, 2, 4], ids=["empty", "short", "long"])
@@ -307,6 +310,8 @@ WELL_FORMED = {
 )
 def test_train_tb_maml_malformed_importance_is_data_error(tmp_path, capsys, doc, reason):
     data = gen(tmp_path)
+    if isinstance(doc, dict):  # the digests of these rooms, so only the named field is wrong
+        doc = dict(doc, task_digests=[s.digest() for s in load_scenario_dir(data)])
     imp = tmp_path / "importance.json"
     imp.write_text(json.dumps(doc))
     rc = main(

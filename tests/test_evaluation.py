@@ -356,7 +356,7 @@ def test_sweep_structure_and_shared_subsets():
         scenarios, ["fomaml"], counts=[2, 4], repeats=2, cfg=cfg, test_count=2
     )
     assert set(out) == {("fomaml", 2), ("fomaml", 4)}
-    assert len(out[("fomaml", 2)]["per_repeat"]) == 2
+    assert all(type(mean) is float and mean > 0 for mean in out.values())
     with pytest.raises(ValueError, match=r"task counts \[5\] outside 1..4"):
         evaluation.task_count_sweep(
             scenarios, ["fomaml"], counts=[5], repeats=1, cfg=cfg, test_count=2
@@ -378,4 +378,4 @@ def test_sweep_full_count_matches_benchmark_protocol():
     sweep = evaluation.task_count_sweep(
         scenarios, ["fomaml"], counts=[4], repeats=1, cfg=cfg, test_count=1
     )
-    assert ("fomaml", 4) in sweep and sweep[("fomaml", 4)]["mean_cm"] > 0
+    assert ("fomaml", 4) in sweep and sweep[("fomaml", 4)] > 0

@@ -24,7 +24,7 @@ def toy_task(c):
 
 
 def theta_at(value):
-    return model.ParamSet({"theta": ad.Tensor([float(value)], requires_grad=True)})
+    return {"theta": ad.Tensor([float(value)], requires_grad=True)}
 
 
 def toy_cfg(**kw):
@@ -292,7 +292,7 @@ def test_meta_train_zero_iterations_returns_init():
     from metaloc.seeding import substream_int
 
     init = model.init_params(substream_int(cfg.seed, "init"))
-    for name in theta.names():
+    for name in theta:
         assert np.array_equal(theta[name].data, init[name].data)
 
 
@@ -301,7 +301,7 @@ def test_meta_train_deterministic():
     cfg = quick_cfg()
     a = meta.meta_train("fomaml", scenarios, cfg)
     b = meta.meta_train("fomaml", scenarios, cfg)
-    for name in a.names():
+    for name in a:
         assert np.array_equal(a[name].data, b[name].data)
 
 
@@ -323,9 +323,10 @@ def test_tb_maml_equals_maml_gamma_zero_full_loop():
         values=np.array([0.5, -0.5, 0.0]),
         average_losses=np.zeros(3),
         loss_matrix=np.zeros((3, 3)),
+        task_ids=[s.id for s in scenarios],
     )
     b = meta.meta_train("tb-maml", scenarios, cfg, importance=imp)
-    for name in a.names():
+    for name in a:
         assert np.array_equal(a[name].data, b[name].data)
 
 
@@ -349,7 +350,7 @@ def test_conventional_zero_epochs_is_random_init():
     from metaloc.seeding import substream_int
 
     init = model.init_params(substream_int(cfg.seed, "init"))
-    for name in theta.names():
+    for name in theta:
         assert np.array_equal(theta[name].data, init[name].data)
 
 
@@ -368,7 +369,7 @@ def test_transfer_zero_finetune_is_source_model():
         cfg.baseline_epochs,
         cfg.baseline_lr,
     )
-    for name in tuned.names():
+    for name in tuned:
         assert np.array_equal(tuned[name].data, source_only[name].data)
 
 
@@ -380,12 +381,9 @@ def test_adapt_and_eval_counts_and_perfect_predictor():
     assert errors.shape == (len(task.query[1]),)
 
     # frozen predictor at a fixed point: errors equal hand-computed distances
-    frozen = model.ParamSet(
-        {
-            name: ad.Tensor(np.zeros(shape), requires_grad=True)
-            for name, shape in model.LAYER_SHAPES
-        }
-    )
+    frozen = {
+        name: ad.Tensor(np.zeros(shape), requires_grad=True) for name, shape in model.LAYER_SHAPES
+    }
     frozen["dense5.bias"].data[:] = (90.0, 75.0)
     errors = meta.adapt_and_eval(frozen, task, cfg)
     expected = np.linalg.norm(task.query[1] - np.array([90.0, 75.0]), axis=1)
@@ -451,18 +449,16 @@ def test_cnn_meta_gradient_matches_finite_difference():
     params = model.init_params(3)
     grads, _ = meta._meta_gradients(params, [task], cfg, True, meta._default_loss)
     rng = np.random.default_rng(4)
-    direction = [rng.standard_normal(t.shape) for t in params.tensors()]
+    direction = [rng.standard_normal(t.shape) for t in params.values()]
     norm = np.sqrt(sum(float(np.sum(d * d)) for d in direction))
     direction = [d / norm for d in direction]
     analytic = sum(float(np.vdot(g.data, d)) for g, d in zip(grads, direction))
 
     def query_loss(eps):
-        shifted = model.ParamSet(
-            {
-                name: ad.Tensor(t.data + eps * d, requires_grad=True)
-                for (name, t), d in zip(params.items(), direction)
-            }
-        )
+        shifted = {
+            name: ad.Tensor(t.data + eps * d, requires_grad=True)
+            for (name, t), d in zip(params.items(), direction)
+        }
         adapted = meta.inner_adapt(shifted, task.support, cfg.alpha, cfg.inner_steps)
         with ad.no_grad():
             return model.loss(adapted, task.query).item()
@@ -488,7 +484,7 @@ def test_second_order_meta_gradient_matches_summed_loss_oracle():
         q = model.loss(adapted, task.query)
         expected_losses.append(q.item())
         total = q if total is None else ad.add(total, q)
-    expected = ad.grad(total, params.tensors())
+    expected = ad.grad(total, params.values())
     grads, losses = meta._meta_gradients(params, batch, cfg, True, meta._default_loss)
     assert losses == expected_losses
     # only the order of summation differs; its rounding scales with the

@@ -8,7 +8,7 @@ from metaloc import model
 
 
 def param_count(params):
-    return sum(t.size for t in params.tensors())
+    return sum(t.size for t in params.values())
 
 
 def test_param_count_against_independent_shape_products():
@@ -37,9 +37,10 @@ def test_init_deterministic_and_seed_sensitive():
     a = model.init_params(7)
     b = model.init_params(7)
     c = model.init_params(8)
-    for name in a.names():
+    assert list(a) == list(b) == list(c)
+    for name in a:
         assert np.array_equal(a[name].data, b[name].data)
-    assert any(not np.array_equal(a[n].data, c[n].data) for n in a.names())
+    assert any(not np.array_equal(a[n].data, c[n].data) for n in a)
 
 
 def test_init_biases_exactly_zero():
@@ -51,7 +52,7 @@ def test_init_biases_exactly_zero():
 
 def test_intermediate_shapes_follow_layer_table():
     params = model.init_params(3)
-    x = ad.tensor(np.random.default_rng(0).random((1, 3, 30)))
+    x = ad.Tensor(np.random.default_rng(0).random((1, 3, 30)))
     h = ad.relu(ad.conv1d(x, params["conv1.weight"], params["conv1.bias"], padding=1))
     assert h.shape == (1, 10, 30)
     h = ad.maxpool1d(h, 2)
@@ -67,9 +68,9 @@ def test_intermediate_shapes_follow_layer_table():
 
 
 def test_all_zero_params_predict_origin():
-    params = model.ParamSet(
-        {name: ad.Tensor(np.zeros(shape), requires_grad=True) for name, shape in model.LAYER_SHAPES}
-    )
+    params = {
+        name: ad.Tensor(np.zeros(shape), requires_grad=True) for name, shape in model.LAYER_SHAPES
+    }
     out = model.predict(params, np.random.default_rng(1).random((5, 3, 30)))
     assert np.array_equal(out.data, np.zeros((5, 2)))
 
@@ -126,9 +127,9 @@ def test_loss_examples():
     assert model.loss(params, (x, pred)).item() == pytest.approx(0.0, abs=1e-24)
 
     # single sample (0,0) vs (3,4) -> 12.5, via zero params
-    zero = model.ParamSet(
-        {name: ad.Tensor(np.zeros(shape), requires_grad=True) for name, shape in model.LAYER_SHAPES}
-    )
+    zero = {
+        name: ad.Tensor(np.zeros(shape), requires_grad=True) for name, shape in model.LAYER_SHAPES
+    }
     assert model.loss(zero, (x, np.array([[3.0, 4.0]]))).item() == 12.5
 
 
@@ -161,9 +162,7 @@ def test_wrong_input_shape_rejected():
 
 def test_output_scale_unconstrained():
     params = model.init_params(9)
-    scaled = model.ParamSet(
-        {n: ad.Tensor(t.data * 40.0, requires_grad=True) for n, t in params.items()}
-    )
+    scaled = {n: ad.Tensor(t.data * 40.0, requires_grad=True) for n, t in params.items()}
     out = model.predict_positions(scaled, np.abs(np.random.default_rng(5).random((8, 3, 30))))
     assert np.abs(out).max() > 1e4  # no activation caps the regression head
 
@@ -174,11 +173,12 @@ def test_gradients_pass_finite_difference_check():
     x = rng.random((4, 3, 30))
     y = rng.random((4, 2))  # O(1) labels keep the FD oracle noise tiny
     loss_t = model.loss(params, (x, y))
-    grads = ad.grad(loss_t, params.tensors())
+    tensors = list(params.values())
+    grads = ad.grad(loss_t, tensors)
     h = 1e-5
     checked = 0
-    for li in rng.choice(len(params.tensors()), size=12):
-        t = params.tensors()[li]
+    for li in rng.choice(len(tensors), size=12):
+        t = tensors[li]
         idx = int(rng.integers(t.size))
         orig = t.data.ravel()[idx]
         t.data.ravel()[idx] = orig + h
@@ -193,13 +193,26 @@ def test_gradients_pass_finite_difference_check():
     assert checked == 12
 
 
+@pytest.mark.parametrize("graph", [False, True], ids=["leaf", "recorded"])
+def test_sgd_step_updates_in_order_and_checks(graph):
+    params = {"b": ad.Tensor([1.0, 2.0], requires_grad=True), "a": ad.Tensor([3.0], requires_grad=True)}
+    new = model.sgd_step(params, [ad.Tensor([1.0, -1.0]), ad.Tensor([2.0])], 0.5, graph=graph)
+    assert list(new) == ["b", "a"]
+    assert new["b"].data.tolist() == [0.5, 2.5] and new["a"].data.tolist() == [2.0]
+    assert all(t.requires_grad for t in new.values())
+    assert (new["b"].node is not None) == graph
+    with pytest.raises(ad.ShapeError, match=r"sgd_step: gradient shape \(1,\) != param b \(2,\)"):
+        model.sgd_step(params, [ad.Tensor([1.0]), ad.Tensor([1.0])], 0.5, graph=graph)
+    with pytest.raises(ad.NumericError, match="non-finite values in a"):
+        model.sgd_step(params, [ad.Tensor([0.0, 0.0]), ad.Tensor([np.inf])], 0.5, graph=graph)
+
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     params = model.init_params(42)
     path = tmp_path / "ckpt.json"
     model.save_params(params, path)
     loaded = model.load_params(path)
-    assert loaded.names() == params.names()
-    for name in params.names():
+    assert list(loaded) == list(params)
+    for name in params:
         assert np.array_equal(loaded[name].data, params[name].data)
 
 

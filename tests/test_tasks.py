@@ -295,6 +295,11 @@ def test_load_rejects_misaligned_labels(tmp_path, edit, match):
         (lambda doc: doc["samples"][3].update(amp=None), r"samples\[3\]: field 'amp'"),
         (lambda doc: doc["samples"][3]["amp"].__setitem__(0, "x"), r"samples\[3\]: field 'amp'.*'x'"),
         (lambda doc: doc["samples"][3].update(rp=None), r"samples\[3\]: field 'rp'"),
+        # sample 3 is at reference point 0, which each of these would coerce to
+        (lambda doc: doc["samples"][3].update(rp=0.7), r"\[3\]: field 'rp' must be an integer, got 0.7"),
+        (lambda doc: doc["samples"][3].update(rp=0.0), r"\[3\]: field 'rp' must be an integer, got 0.0"),
+        (lambda doc: doc["samples"][3].update(rp=False), r"\[3\]: field 'rp' must be an integer, got False"),
+        (lambda doc: doc["samples"][3].update(rp="0"), r"\[3\]: field 'rp' must be an integer, got '0'"),
         (lambda doc: doc.update(grid=5), r"'grid' must be an object"),
         (lambda doc: doc["grid"].update(rows=2.5), r"grid rows must be an integer, got 2.5"),
         (lambda doc: doc["grid"].update(cols="4"), r"grid cols must be an integer, got '4'"),
@@ -302,7 +307,8 @@ def test_load_rejects_misaligned_labels(tmp_path, edit, match):
     ],
     ids=[
         "sample-int", "pos-int", "pos-object", "amp-null", "amp-string-entry",
-        "rp-null", "grid-int", "rows-fraction", "cols-string", "spacing-null",
+        "rp-null", "rp-fraction", "rp-float", "rp-bool", "rp-string",
+        "grid-int", "rows-fraction", "cols-string", "spacing-null",
     ],
 )
 def test_load_rejects_wrong_json_types(tmp_path, edit, match):
@@ -312,6 +318,26 @@ def test_load_rejects_wrong_json_types(tmp_path, edit, match):
     edit(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError, match=re.escape(str(path)) + ".*" + match):
+        tasks.load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "grid, match",
+    [
+        ({"rows": 0, "cols": 4}, "grid 0x4 has no reference points"),
+        ({"rows": -2, "cols": -3}, "grid -2x-3 has no reference points"),
+        ({}, "'samples' is empty"),
+    ],
+    ids=["no-rows", "negative", "no-samples"],
+)
+def test_load_rejects_an_empty_scenario(tmp_path, grid, match):
+    path = tmp_path / "scenario_000.json"
+    tasks.save_scenario(tasks.generate_scenario(16, small_config()), path)
+    doc = json.loads(path.read_text())
+    doc["grid"].update(grid)
+    doc["samples"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: {match}")):
         tasks.load_scenario(path)
 
 
