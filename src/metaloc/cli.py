@@ -157,10 +157,13 @@ def _importance_field(doc: dict, path: Path, name: str, ndim=None):
 def _load_importance(path: Path, scenarios) -> meta.ImportanceVector:
     """The importance vector of a file written on these scenarios' samples.
 
-    The file holds one task digest per task id. A missing or mistyped
-    field is a data error naming the file and the field.
+    The file holds one task digest per task id. Invalid JSON, or a missing
+    or mistyped field, is a data error naming the file and the field.
     """
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise DataFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: expected a JSON object, got a {type(doc).__name__}")
     task_ids = _importance_field(doc, path, "task_ids")

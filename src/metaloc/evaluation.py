@@ -21,20 +21,14 @@ of the three experiment functions runs its own plan; `metaloc bench`
 runs all three as one batch, so no worker idles at the end of one
 experiment while another's cells wait.
 
-Every cell runs in a spawned worker process with one BLAS thread
-(OPENBLAS_NUM_THREADS=1 and OMP_NUM_THREADS=1 in the worker's
-environment). One pool serves the whole process: it starts on first use
-and every batch reuses it. Because every worker count runs the same code
-at the same BLAS thread count, results do not depend on the number of
-workers (METALOC_THREADS). A worker never starts a pool of its own: a
-batch submitted from a process that has a multiprocessing parent, such
-as a cell (meta_train("tb-maml") computing its importance vector in a
-benchmark or sweep cell), runs inline in that process, in order, at the
-same single BLAS thread. Under spawn a worker imports the caller's main
-module, so a script that calls benchmark, cross_scenario_matrix,
-task_count_sweep, run_plans, meta.compute_importance or
-meta.meta_train("tb-maml") without an importance vector must keep that
-call under an `if __name__ == "__main__":` guard.
+Cells run in one pool of METALOC_THREADS spawned workers that starts on
+first use and serves every later batch. A batch inside a cell (tb-maml's
+importance vector), or at one worker once BLAS is pinned, runs inline.
+Every process computes at one BLAS thread, so results do not depend on
+the worker count. A spawned worker imports the caller's main module, so
+a script that calls an experiment, run_plans, meta.compute_importance or
+meta.meta_train("tb-maml") without an importance vector keeps that call
+under an `if __name__ == "__main__":` guard.
 """
 
 from __future__ import annotations
@@ -43,13 +37,12 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from . import meta
+from . import _BLAS_PINNED, meta
 from .meta import MetaConfig, adapt_and_eval, build_task_data, meta_train
 from .model import predict_positions
 from .seeding import substream, substream_int
@@ -169,10 +162,7 @@ def worker_count() -> int:
 
     METALOC_THREADS, when set, must be a positive integer; anything else
     is a ValueError naming the variable and the value. Unset, it is the
-    number of CPUs this process may run on. On a 2-CPU machine,
-    `metaloc bench` at perfbench's BENCH_FLAGS on 6 generated scenarios
-    took a median 2.47 s (2.16-2.56 s) at 1 worker and 1.83 s
-    (1.61-2.42 s) at 2 workers, over 8 alternating runs each.
+    number of CPUs this process may run on.
     """
     raw = os.environ.get("METALOC_THREADS")
     if raw is None:
@@ -189,38 +179,15 @@ def worker_count() -> int:
     return workers
 
 
-# a worker's BLAS reads its thread count from the environment once, at load
-_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-
 _pool = None  # (workers, ProcessPoolExecutor) shared by every experiment in this process
-
-
-@contextmanager
-def _worker_env():
-    """_WORKER_ENV in os.environ for the duration; the caller's values after."""
-    saved = {name: os.environ.get(name) for name in _WORKER_ENV}
-    os.environ.update(_WORKER_ENV)
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
 
 
 def _run_cells(fn, cells, workers: int):
     """Map fn over cells in this process's pool of `workers` spawned
-    workers; order preserved.
-
-    The pool launches a worker at a submit that finds none idle, not at
-    construction, so every submit runs under _worker_env. In a pool worker,
-    a process with a multiprocessing parent, the cells run inline, in
-    order, and no second pool starts.
-    """
+    workers, order preserved; inline in a pool worker, so no second pool
+    starts, and at one worker once the BLAS pin is confirmed."""
     global _pool
-    if multiprocessing.parent_process() is not None:
+    if multiprocessing.parent_process() is not None or (workers == 1 and _BLAS_PINNED):
         return [fn(cell) for cell in cells]
     if _pool is not None and _pool[0] != workers:
         _close_pool()
@@ -228,9 +195,7 @@ def _run_cells(fn, cells, workers: int):
         context = multiprocessing.get_context("spawn")
         _pool = (workers, ProcessPoolExecutor(workers, mp_context=context))
     try:
-        with _worker_env():
-            results = _pool[1].map(fn, cells)
-        return list(results)
+        return list(_pool[1].map(fn, cells))
     except BrokenProcessPool:
         _pool = None  # a worker died; the next call starts a new pool
         raise

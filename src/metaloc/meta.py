@@ -340,11 +340,9 @@ def compute_importance(scenarios: Sequence[Scenario], cfg: MetaConfig) -> Import
     k-shot support and evaluate on task j's query. Tasks whose models
     transfer well (low average loss) get importance near +1.
 
-    Each row i is one cell of the experiment pool (evaluation._run_cells,
-    METALOC_THREADS workers), so a script that calls this, or
-    meta_train("tb-maml") without an importance vector, must keep that
-    call under an `if __name__ == "__main__":` guard. Inside a pool
-    worker the rows run inline.
+    Each row i is one experiment cell (evaluation._run_cells), so a script
+    that calls this, or meta_train("tb-maml") without an importance
+    vector, keeps the call under an `if __name__ == "__main__":` guard.
     """
     from . import evaluation  # evaluation imports this module
 

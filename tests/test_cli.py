@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import metaloc
 from metaloc import evaluation, meta
 from metaloc.cli import _CONFIG_FLAGS, main
 from metaloc.tasks import load_scenario_dir
@@ -305,15 +306,16 @@ WELL_FORMED = {
         ({"task_ids": IDS}, "missing field 'importance'"),
         ([IDS], "expected a JSON object, got a list"),
         (dict(WELL_FORMED, importance="0.5"), "field 'importance' is not a list of numbers"),
+        ("{oops", "invalid JSON at line 1: Expecting property name enclosed in double quotes"),
     ],
-    ids=["only-task-ids", "json-list", "importance-string"],
+    ids=["only-task-ids", "json-list", "importance-string", "invalid-json"],
 )
 def test_train_tb_maml_malformed_importance_is_data_error(tmp_path, capsys, doc, reason):
     data = gen(tmp_path)
     if isinstance(doc, dict):  # the digests of these rooms, so only the named field is wrong
         doc = dict(doc, task_digests=[s.digest() for s in load_scenario_dir(data)])
     imp = tmp_path / "importance.json"
-    imp.write_text(json.dumps(doc))
+    imp.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     rc = main(
         ["train", "--algo", "tb-maml", "--data", str(data), "--k", "1", "--importance", str(imp),
          "--out", str(tmp_path / "o")] + FAST_FLAGS
@@ -549,6 +551,23 @@ def test_module_entry_point_runs_importance_in_pool(tmp_path):
     while _live_group_members(proc.pid) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert _live_group_members(proc.pid) == {}
+
+
+def _refuse_pool(*args, **kwargs):
+    raise AssertionError("a one-worker command started a pool")
+
+
+@pytest.mark.skipif(not metaloc._BLAS_PINNED, reason="one worker spawns a pool where BLAS is not pinned")
+def test_one_worker_command_starts_no_process(tmp_path, monkeypatch):
+    data = gen(tmp_path)
+    evaluation._close_pool()
+    monkeypatch.setenv("METALOC_THREADS", "1")
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _refuse_pool)
+    out = tmp_path / "importance.json"
+    rc = main(["importance", "--data", str(data), "--k", "1", "--out", str(out)] + FAST_FLAGS)
+    assert rc == 0
+    assert len(json.loads(out.read_text())["loss_matrix"]) == 3
+    assert evaluation._pool is None
 
 
 def test_bench_deterministic_outputs(tmp_path):

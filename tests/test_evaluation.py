@@ -1,11 +1,16 @@
 """Metrics, report structure, and small-scale experiment wiring."""
 
+import glob
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metaloc
 from metaloc import autodiff, evaluation, meta, model, tasks
 from metaloc.evaluation import EvalReport, benchmark, cdf, cross_scenario_matrix, distances
 from metaloc.meta import MetaConfig
@@ -260,22 +265,67 @@ def test_worker_count_defaults_to_available_cpus(monkeypatch):
     assert evaluation.worker_count() == 3
 
 
-def _blas_env(cell):
-    return cell, os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS")
+def _blas_threads(cell):
+    """The cell and the thread count this process's OpenBLAS reads back,
+    None where numpy bundles no scipy-openblas."""
+    return cell, None if metaloc._BLAS is None else metaloc._BLAS.scipy_openblas_get_num_threads64_()
+
+
+ONE_THREAD = None if metaloc._BLAS is None else 1
 
 
 @pytest.mark.parametrize("caller", [None, "3"])
 def test_cells_run_in_one_blas_thread_workers(monkeypatch, caller):
+    # workers spawned under the caller's variables still compute at one thread,
+    # and at one worker the cells run in this process, pinned at import
     if caller is None:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    evaluation._close_pool()
     before = dict(os.environ)
     for workers in (1, 2):
-        got = evaluation._run_cells(_blas_env, [4, 0, 3, 1, 2], workers)
-        assert got == [(cell, "1", "1") for cell in (4, 0, 3, 1, 2)]
+        got = evaluation._run_cells(_blas_threads, [4, 0, 3, 1, 2], workers)
+        assert got == [(cell, ONE_THREAD) for cell in (4, 0, 3, 1, 2)]
         assert dict(os.environ) == before
+
+
+def _bundles_openblas() -> bool:
+    return bool(glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas*")))
+
+
+@pytest.mark.skipif(not _bundles_openblas(), reason="numpy bundles no scipy-openblas")
+def test_import_pins_bundled_openblas_after_numpy_loaded_it():
+    # a numpy whose bundled OpenBLAS no longer exports the thread calls fails
+    # here, instead of quietly sending one-worker batches back to a pool
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="3", OMP_NUM_THREADS="3", PYTHONPATH=str(src))
+    code = (
+        "import numpy, os; import metaloc; "
+        "print(metaloc._BLAS_PINNED, metaloc._BLAS.scipy_openblas_get_num_threads64_(), "
+        "os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "1", "1", "1"]
+
+
+def _maml_params(cell):
+    scenarios, cfg = cell
+    return {name: p.data for name, p in meta.meta_train("maml", scenarios, cfg).items()}
+
+
+def test_meta_train_in_the_caller_equals_a_pool_cell():
+    # the same BLAS thread count everywhere: where a result is computed does not change its bits
+    # (large enough batches that a multi-threaded BLAS would split them)
+    cell = ([tasks.generate_scenario(70 + i) for i in range(4)],
+            quick_cfg(shots=5, inner_steps=2, meta_batch_size=2, meta_iterations=3))
+    here = _maml_params(cell)
+    (there,) = evaluation._run_cells(_maml_params, [cell], 2)
+    assert here.keys() == there.keys()
+    for name in here:
+        assert np.array_equal(here[name], there[name]), name
 
 
 def _exit_worker(cell):
@@ -308,9 +358,10 @@ def test_batch_inside_a_worker_runs_inline():
 
 
 def test_pool_restarts_after_a_worker_dies():
+    # at 2 workers: a one-worker batch runs in this process, which os._exit would end
     with pytest.raises(BrokenProcessPool):
-        evaluation._run_cells(_exit_worker, [0], 1)
-    assert evaluation._run_cells(_blas_env, [0, 1], 1) == [(0, "1", "1"), (1, "1", "1")]
+        evaluation._run_cells(_exit_worker, [0], 2)
+    assert evaluation._run_cells(_blas_threads, [0, 1], 2) == [(0, ONE_THREAD), (1, ONE_THREAD)]
 
 
 # ---------------------------------------------------------------------------
