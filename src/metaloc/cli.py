@@ -1,6 +1,7 @@
 """Command-line runner: generate data, compute importance, train, evaluate,
-benchmark. Every command writes a run manifest with the fully resolved
-configuration so runs can be reproduced bit-for-bit from the same flags.
+benchmark. Each command but importance writes a run manifest with the fully
+resolved configuration so runs can be reproduced bit-for-bit from the same
+flags; importance keeps its configuration in the file it writes.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 `metaloc bench` leaves the checks of its experiments to the evaluation
@@ -22,14 +23,17 @@ import numpy as np
 
 from . import __version__, evaluation, meta
 from .autodiff import NumericError
-from .model import CheckpointError, load_params, save_params
+from .model import load_params, save_params
 from .seeding import substream_int
 from .tasks import (
     ChannelConfig,
     DataFormatError,
     GridSpec,
+    _require,
     generate_scenario,
     load_scenario_dir,
+    numeric_field,
+    read_json,
     save_scenario,
 )
 
@@ -135,42 +139,27 @@ def _importance_doc(vector: meta.ImportanceVector, cfg: meta.MetaConfig, scenari
     }
 
 
-def _importance_field(doc: dict, path: Path, name: str, ndim=None):
-    """Field `name` as a float array of `ndim` axes, or a list of strings if ndim is None."""
-    if name not in doc:
-        raise DataFormatError(f"{path}: missing field {name!r}")
-    value = doc[name]
-    kind = {None: "a list of strings", 1: "a list of numbers", 2: "a list of rows of numbers"}[ndim]
-    try:
-        if ndim is None:
-            if isinstance(value, list) and all(isinstance(v, str) for v in value):
-                return value
-        else:
-            array = np.array(value, dtype=np.float64)  # null reads as NaN
-            if array.ndim == ndim:
-                return array
-    except (TypeError, ValueError):
-        pass
-    raise DataFormatError(f"{path}: field {name!r} is not {kind}")
-
-
 def _load_importance(path: Path, scenarios) -> meta.ImportanceVector:
     """The importance vector of a file written on these scenarios' samples.
 
-    The file holds one task digest per task id. Invalid JSON, or a missing
-    or mistyped field, is a data error naming the file and the field.
+    For n task ids it holds n task digests, n importance values in [-1, 1],
+    n average losses and an n x n loss matrix, or it is a data error.
     """
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise DataFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: expected a JSON object, got a {type(doc).__name__}")
-    task_ids = _importance_field(doc, path, "task_ids")
-    digests = _importance_field(doc, path, "task_digests")
-    if len(digests) != len(task_ids):
-        n, m = len(digests), len(task_ids)
-        raise DataFormatError(f"{path}: field 'task_digests' has {n} entries for {m} task ids")
+    doc, where = read_json(path), str(path)
+    task_ids, digests = (_require(doc, name, where) for name in ("task_ids", "task_digests"))
+    for name, value in (("task_ids", task_ids), ("task_digests", digests)):
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise DataFormatError(f"{path}: field {name!r} is not a list of strings")
+    values, average = (numeric_field(doc, name, 1, where) for name in ("importance", "average_losses"))
+    matrix = numeric_field(doc, "loss_matrix", 2, where)
+    n = len(task_ids)
+    for name, value in (("task_digests", digests), ("importance", values), ("average_losses", average)):
+        if len(value) != n:
+            raise DataFormatError(f"{path}: field {name!r} has {len(value)} entries for {n} task ids")
+    if matrix.shape != (n, n):
+        raise DataFormatError(f"{path}: field 'loss_matrix' has shape {matrix.shape} for {n} task ids")
+    if not np.all(np.abs(values) <= 1.0):  # also false for NaN
+        raise DataFormatError(f"{path}: field 'importance' must be finite and within [-1, 1]")
     for task_id, digest, scenario in zip(task_ids, digests, scenarios):
         if digest != scenario.digest():
             raise DataFormatError(
@@ -178,12 +167,7 @@ def _load_importance(path: Path, scenarios) -> meta.ImportanceVector:
                 f"scenario {scenario.id} of the training data (sha256 {digest[:12]}... "
                 f"vs {scenario.digest()[:12]}...)"
             )
-    return meta.ImportanceVector(
-        values=_importance_field(doc, path, "importance", 1),
-        average_losses=_importance_field(doc, path, "average_losses", 1),
-        loss_matrix=_importance_field(doc, path, "loss_matrix", 2),
-        task_ids=list(task_ids),
-    )
+    return meta.ImportanceVector(values, average, matrix, task_ids)
 
 
 def _check_worker_count() -> None:
@@ -259,10 +243,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        params = load_params(args.checkpoint)
-    except CheckpointError as e:
-        raise DataFormatError(str(e))
+    params = load_params(args.checkpoint)
     scenarios = load_scenario_dir(args.data)
     cfg = _meta_config(args)
     out = Path(args.out)

@@ -336,9 +336,17 @@ def _train_count(scenarios, test_count) -> int:
     return n - test_count
 
 
+def _no_repeats(what: str, values) -> None:
+    """A value listed twice would run its cells twice and count their errors twice."""
+    repeated = sorted({v for i, v in enumerate(values) if v in values[:i]})
+    if repeated:
+        raise ValueError(f"{what} {repeated} listed more than once")
+
+
 def benchmark_plan(scenarios, algorithms, shot_counts, repeats, cfg, test_count=5):
     """benchmark as a plan for run_plans. Its checks:
 
+    - no algorithm and no shot count is listed twice;
     - every algorithm is one of ALL_ALGORITHMS;
     - every shot count is at least 0, and at least 1 when a meta-learner
       is listed: it adapts on each task's support set, empty at 0 shots;
@@ -347,6 +355,8 @@ def benchmark_plan(scenarios, algorithms, shot_counts, repeats, cfg, test_count=
       importance vector.
     """
     scenarios = list(scenarios)
+    _no_repeats("algorithms", algorithms)
+    _no_repeats("shot counts", shot_counts)
     for algorithm in algorithms:
         if algorithm not in ALL_ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALL_ALGORITHMS}")
@@ -400,12 +410,15 @@ def _sweep_cell(args):
 def sweep_plan(scenarios, algorithms, counts, repeats, cfg, test_count=5):
     """task_count_sweep as a plan for run_plans. Its checks:
 
+    - no algorithm and no count is listed twice;
     - every algorithm is a meta-learner;
     - test_count is in 1..len(scenarios) - 1;
     - every count is in 1..the training scenarios left;
     - with tb-maml, every count is at least 2, for its importance vector.
     """
     scenarios = list(scenarios)
+    _no_repeats("algorithms", algorithms)
+    _no_repeats("task counts", counts)
     for algorithm in algorithms:
         if algorithm not in meta.META_ALGORITHMS:
             raise ValueError(f"task_count_sweep is for meta-learners, got {algorithm!r}")

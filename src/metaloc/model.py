@@ -17,6 +17,7 @@ follow LAYER_SHAPES, and the trainers accept any dict, in its own order.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -37,6 +38,7 @@ from .autodiff import (
     scale,
     sub,
 )
+from .tasks import DataFormatError, numeric_field, read_json
 
 INPUT_SHAPE = (3, 30)
 
@@ -59,10 +61,6 @@ LAYER_SHAPES: tuple = (
 )
 
 CHECKPOINT_FORMAT = "metaloc-params-v1"
-
-
-class CheckpointError(Exception):
-    """A parameter file does not match the fixed layer list."""
 
 
 def sgd_step(params: dict, grads: Sequence[Tensor], lr: float, graph: bool) -> dict:
@@ -107,19 +105,6 @@ def init_params(seed: int) -> dict:
     return items
 
 
-def validate_model_params(params: dict) -> None:
-    expected = [name for name, _ in LAYER_SHAPES]
-    if list(params) != expected:
-        raise CheckpointError(
-            f"parameter names/order mismatch: got {list(params)}, expected {expected}"
-        )
-    for name, shape in LAYER_SHAPES:
-        if params[name].shape != shape:
-            raise CheckpointError(
-                f"layer {name}: shape {params[name].shape}, expected {shape}"
-            )
-
-
 def predict(params: dict, x) -> Tensor:
     """Position estimates in cm, (batch, 2), for a (batch, 3, 30) stack of samples."""
     arr = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
@@ -156,7 +141,9 @@ def predict_positions(params: dict, x) -> np.ndarray:
 
 
 def save_params(params: dict, path) -> None:
-    validate_model_params(params)
+    shapes = tuple((name, t.shape) for name, t in params.items())
+    if shapes != LAYER_SHAPES:
+        raise ValueError(f"parameters {shapes} do not follow the layer table {LAYER_SHAPES}")
     doc = {
         "format": CHECKPOINT_FORMAT,
         "layers": [
@@ -168,28 +155,26 @@ def save_params(params: dict, path) -> None:
 
 
 def load_params(path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise CheckpointError(f"checkpoint not found: {path}")
-    except json.JSONDecodeError as e:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {e}")
+    """The parameters in checkpoint file `path`: LAYER_SHAPES's layers, in
+    order, with finite values. Anything else is a DataFormatError naming
+    the file, the layer and the field."""
+    doc = read_json(path)
     if doc.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"checkpoint {path}: unknown format {doc.get('format')!r}")
+        raise DataFormatError(f"{path}: unknown checkpoint format {doc.get('format')!r}")
     layers = doc.get("layers")
-    if not isinstance(layers, list):
-        raise CheckpointError(f"checkpoint {path}: missing 'layers' list")
+    if not (isinstance(layers, list) and len(layers) == len(LAYER_SHAPES)):
+        raise DataFormatError(f"{path}: 'layers' must be a list of {len(LAYER_SHAPES)} layers")
     items = {}
-    for entry in layers:
-        try:
-            name, shape, values = entry["name"], entry["shape"], entry["values"]
-        except (KeyError, TypeError) as e:
-            raise CheckpointError(f"checkpoint {path}: malformed layer entry ({e})")
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size != int(np.prod(shape)):
-            raise CheckpointError(
-                f"checkpoint {path}: layer {name} has {arr.size} values for shape {shape}"
-            )
-        items[name] = Tensor(arr.reshape(shape), requires_grad=True)
-    validate_model_params(items)
+    for i, (entry, (name, shape)) in enumerate(zip(layers, LAYER_SHAPES)):
+        if not (isinstance(entry, dict) and entry.get("name") == name):
+            raise DataFormatError(f"{path}: layers[{i}] must be an object named {name!r}")
+        where = f"{path}: layer {name}"
+        if numeric_field(entry, "shape", 1, where).tolist() != list(shape):
+            raise DataFormatError(f"{where}: shape {entry['shape']}, expected {list(shape)}")
+        values = numeric_field(entry, "values", 1, where)
+        if values.size != math.prod(shape):
+            raise DataFormatError(f"{where} has {values.size} values for shape {list(shape)}")
+        if not np.all(np.isfinite(values)):
+            raise DataFormatError(f"{where}: values must be finite")
+        items[name] = Tensor(values.reshape(shape), requires_grad=True)
     return items

@@ -10,6 +10,10 @@ model batches; no other module spells out this layout. The JSON file
 format is unchanged: per sample, "rp", "pos_cm" and a flat, antenna-major
 "amp" list of 90 values.
 
+read_json and numeric_field read every JSON input: scenario files here,
+checkpoints (model.load_params) and importance files (cli). A bad file is
+a DataFormatError naming the file and the field.
+
 Real capture hardware is out of scope; scenarios come from a synthetic
 channel with fixed parameters (the module constants): log-distance path
 loss from a random transmitter, shadowing from random wall segments,
@@ -44,6 +48,8 @@ __all__ = [
     "save_scenario",
     "load_scenario",
     "load_scenario_dir",
+    "read_json",
+    "numeric_field",
     "batch_from",
 ]
 
@@ -55,7 +61,7 @@ AMP_SHAPE = SAMPLE_DTYPE["amp"].shape
 
 
 class DataFormatError(Exception):
-    """A scenario file or sample violates the on-disk contract."""
+    """An input file (scenario, checkpoint or importance file) violates its contract."""
 
 
 @dataclass(frozen=True)
@@ -132,8 +138,8 @@ def generate_scenario(
 ) -> Scenario:
     """One synthetic location, deterministic per seed."""
     grid = config.grid
-    if grid.rows * grid.cols < 2:
-        raise ValueError(f"degenerate grid: rows*cols = {grid.rows * grid.cols} < 2")
+    if min(grid.rows, grid.cols) < 1 or grid.rows * grid.cols < 2:
+        raise ValueError(f"degenerate grid {grid.rows}x{grid.cols}: needs rows >= 1, cols >= 1, 2 points")
     # the widest span drawn from is the reflectors': the grid's extent plus
     # two margins on either side; numpy rejects a span that is not finite
     extent = (max(grid.rows, grid.cols) - 1) * grid.spacing_cm
@@ -284,25 +290,46 @@ def save_scenario(scenario: Scenario, path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+def read_json(path) -> dict:
+    """The JSON object in file `path`; anything else is a DataFormatError naming the path."""
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        raise DataFormatError(f"{path}: file not found") from None
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: invalid JSON, not UTF-8 text: {e.reason}") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DataFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: top level must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise DataFormatError(f"{where}: missing field {key!r}")
     return doc[key]
 
 
-def load_scenario(path) -> Scenario:
-    where = str(path)
+def numeric_field(doc: dict, key: str, ndim: int, where: str) -> np.ndarray:
+    """Field `key` of `doc` as a float64 array of `ndim` axes, JSON null read as NaN. Any
+    other value, strings and booleans too, is a DataFormatError naming `where` and the field."""
     try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise DataFormatError(f"{where}: file not found")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DataFormatError(f"{where}: invalid JSON at line {e.lineno}: {e.msg}")
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{where}: top level must be an object")
+        array = np.array(_require(doc, key, where))
+    except ValueError:  # ragged: a string array, rejected below
+        array = np.array("ragged")
+    if array.dtype == object and all(v is None or type(v) in (int, float) for v in array.flat):
+        array = array.astype(np.float64)  # nulls, or integers beyond int64
+    if array.dtype.kind not in "iuf" or array.ndim != ndim:
+        kind = "a list of numbers" if ndim == 1 else "a list of rows of numbers"
+        raise DataFormatError(f"{where}: field {key!r} is not {kind}")
+    return array.astype(np.float64, copy=False)
 
+
+def load_scenario(path) -> Scenario:
+    doc, where = read_json(path), str(path)
     sid = _require(doc, "id", where)
     grid_doc = _require(doc, "grid", where)
     if not isinstance(grid_doc, dict):
@@ -324,35 +351,28 @@ def load_scenario(path) -> Scenario:
         raise DataFormatError(f"{where}: 'samples' is empty")
     samples = np.empty(len(raw), dtype=SAMPLE_DTYPE)
     expected = math.prod(AMP_SHAPE)
-    # a value of the wrong JSON type fails the conversion of field `key`
-    try:
-        for i, entry in enumerate(raw):
-            ctx = f"{where}: samples[{i}]"
-            key = "rp"
-            rp = _require(entry, key, ctx)
-            if type(rp) is not int:  # not a bool, and not a point 0.7 read as 0
-                raise DataFormatError(f"{ctx}: field 'rp' must be an integer, got {rp!r}")
-            key = "pos_cm"
-            pos = _require(entry, key, ctx)
-            if len(pos) != 2:
-                raise DataFormatError(f"{ctx}: pos_cm must have 2 entries, got {len(pos)}")
-            pos = (float(pos[0]), float(pos[1]))
-            key = "amp"
-            amp = _require(entry, key, ctx)
-            if len(amp) != expected:
-                raise DataFormatError(f"{ctx}: amp must have {expected} entries, got {len(amp)}")
-            arr = np.asarray(amp, dtype=np.float64).reshape(AMP_SHAPE)
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-                raise DataFormatError(f"{ctx}: amplitudes must be finite and non-negative")
-            if not 0 <= rp < len(positions):
-                raise DataFormatError(f"{ctx}: rp {rp} is outside [0, {len(positions)})")
-            if pos != positions[rp]:
-                raise DataFormatError(f"{ctx}: {pos} is not reference point {rp} at {positions[rp]}")
-            samples[i] = rp, pos, arr
-    except (TypeError, ValueError, KeyError) as e:
+    for i, entry in enumerate(raw):
+        ctx = f"{where}: samples[{i}]"
         if not isinstance(entry, dict):
-            raise DataFormatError(f"{ctx}: must be an object, got {type(entry).__name__}") from None
-        raise DataFormatError(f"{ctx}: field {key!r} has a value of the wrong type: {e}") from None
+            raise DataFormatError(f"{ctx}: must be an object, got {type(entry).__name__}")
+        rp = _require(entry, "rp", ctx)
+        if type(rp) is not int:  # not a bool, and not a point 0.7 read as 0
+            raise DataFormatError(f"{ctx}: field 'rp' must be an integer, got {rp!r}")
+        pos = tuple(numeric_field(entry, "pos_cm", 1, ctx).tolist())
+        if len(pos) != 2:
+            raise DataFormatError(f"{ctx}: pos_cm must have 2 entries, got {len(pos)}")
+        amp = numeric_field(entry, "amp", 1, ctx)
+        if len(amp) != expected:
+            raise DataFormatError(f"{ctx}: amp must have {expected} entries, got {len(amp)}")
+        if not 0 <= rp < len(positions):
+            raise DataFormatError(f"{ctx}: rp {rp} is outside [0, {len(positions)})")
+        if pos != positions[rp]:
+            raise DataFormatError(f"{ctx}: {pos} is not reference point {rp} at {positions[rp]}")
+        samples[i] = rp, pos, amp.reshape(AMP_SHAPE)
+    amps = samples["amp"]
+    ok = ((amps >= 0) & (amps < np.inf)).all(axis=(1, 2))  # false for NaN too
+    if not ok.all():
+        raise DataFormatError(f"{where}: samples[{ok.argmin()}]: amplitudes must be finite and non-negative")
     missing = sorted(set(range(len(positions))) - set(samples["rp"].tolist()))
     if missing:
         raise DataFormatError(f"{where}: no samples for reference point(s) {missing}")

@@ -15,6 +15,7 @@ import pytest
 import metaloc
 from metaloc import evaluation, meta
 from metaloc.cli import _CONFIG_FLAGS, main
+from metaloc.model import init_params, save_params
 from metaloc.tasks import load_scenario_dir
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -74,6 +75,14 @@ def test_gen_rejects_non_finite_spacing(tmp_path, spacing, capsys):
     rc = main(["gen", "--scenarios", "2", "--spacing-cm", spacing, "--out", str(out)])
     assert rc == 3
     assert "degenerate grid: spacing" in capsys.readouterr().err
+    assert not list(out.glob("scenario_*.json")) and not (out / "run.json").exists()
+
+
+def test_gen_rejects_a_negative_grid(tmp_path, capsys):
+    out = tmp_path / "x"
+    rc = main(["gen", "--scenarios", "1", "--rows", "-3", "--cols", "-4", "--out", str(out)])
+    assert rc == 3
+    assert "degenerate grid -3x-4: needs rows >= 1, cols >= 1" in capsys.readouterr().err
     assert not list(out.glob("scenario_*.json")) and not (out / "run.json").exists()
 
 
@@ -304,11 +313,19 @@ WELL_FORMED = {
     "doc,reason",
     [
         ({"task_ids": IDS}, "missing field 'importance'"),
-        ([IDS], "expected a JSON object, got a list"),
+        ([IDS], "top level must be a JSON object, got list"),
         (dict(WELL_FORMED, importance="0.5"), "field 'importance' is not a list of numbers"),
         ("{oops", "invalid JSON at line 1: Expecting property name enclosed in double quotes"),
+        (dict(WELL_FORMED, importance=["0.5", 0.0, 0.0]), "field 'importance' is not a list of numbers"),
+        (dict(WELL_FORMED, importance=[None, 0.0, 1.0]), "field 'importance' must be finite and within [-1, 1]"),
+        (dict(WELL_FORMED, importance=[50.0, -30.0, 1.0]), "field 'importance' must be finite and within [-1, 1]"),
+        (dict(WELL_FORMED, importance=[0.5, 0.0]), "field 'importance' has 2 entries for 3 task ids"),
+        (dict(WELL_FORMED, average_losses=[1.0]), "field 'average_losses' has 1 entries for 3 task ids"),
+        (dict(WELL_FORMED, loss_matrix=[[1.0]]), "field 'loss_matrix' has shape (1, 1) for 3 task ids"),
     ],
-    ids=["only-task-ids", "json-list", "importance-string", "invalid-json"],
+    ids=["only-task-ids", "json-list", "importance-string", "invalid-json", "importance-string-entry",
+         "importance-null", "importance-out-of-range", "importance-short", "average-losses-short",
+         "loss-matrix-1x1"],
 )
 def test_train_tb_maml_malformed_importance_is_data_error(tmp_path, capsys, doc, reason):
     data = gen(tmp_path)
@@ -358,14 +375,37 @@ def test_eval_command_and_zero_shot(tmp_path):
     assert len(lines) - 1 == 3 * 48
 
 
-def test_eval_checkpoint_mismatch_is_data_error(tmp_path):
+def _with_layer(doc: dict, i: int, **fields) -> dict:
+    """A copy of checkpoint `doc` with `fields` of layer i replaced."""
+    layers = list(doc["layers"])
+    layers[i] = dict(layers[i], **fields)
+    return dict(doc, layers=layers)
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda doc: {"format": "other"}, "unknown checkpoint format 'other'"),
+        (lambda doc: [doc], "top level must be a JSON object, got list"),
+        (lambda doc: _with_layer(doc, 0, shape="abc"), "layer conv1.weight: field 'shape' is not a list of numbers"),
+        (lambda doc: _with_layer(doc, 1, values=[[0.0] * 5, [0.0] * 4]),
+         "layer conv1.bias: field 'values' is not a list of numbers"),
+        (lambda doc: _with_layer(doc, 0, values=[None] + [0.0] * 89),
+         "layer conv1.weight: values must be finite"),
+    ],
+    ids=["unknown-format", "json-list", "shape-string", "ragged-values", "null-value"],
+)
+def test_eval_checkpoint_mismatch_is_data_error(tmp_path, capsys, edit, reason):
     data = gen(tmp_path)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"format": "other"}))
-    rc = main(
-        ["eval", "--checkpoint", str(bad), "--data", str(data), "--out", str(tmp_path / "e")]
-    )
+    save_params(init_params(0), bad)
+    bad.write_text(json.dumps(edit(json.loads(bad.read_text()))))
+    out = tmp_path / "e"
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(data), "--k", "1", "--out", str(out)] + FAST_FLAGS)
+    err = capsys.readouterr().err
     assert rc == 3
+    assert err.startswith(f"data error: {bad}: {reason}") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bench_emits_all_csvs(tmp_path):
@@ -451,10 +491,15 @@ def test_bench_runs_every_cell_in_one_batch(tmp_path, monkeypatch):
         (["--algos", "tb-maml", "--counts", "1"],
          "tb-maml needs task counts of at least 2 for its importance vector, got [1]"),
         (["--matrix-scenarios", "5"], "--matrix-scenarios 5 outside 2..4 for 4 scenarios"),
+        (["--algos", "conventional,conventional", "--shots", "2,2"],
+         "algorithms ['conventional'] listed more than once"),
+        (["--shots", "2,1,2"], "shot counts [2] listed more than once"),
+        (["--counts", "2,1,2"], "task counts [2] listed more than once"),
     ],
     ids=["count-above-training", "count-zero", "count-above-fewer-training", "no-training-scenario",
          "one-matrix-scenario", "zero-shots-meta", "negative-later-shots", "negative-shots-baseline",
-         "tb-maml-one-training-scenario", "tb-maml-count-one", "matrix-above-scenarios"],
+         "tb-maml-one-training-scenario", "tb-maml-count-one", "matrix-above-scenarios",
+         "repeated-algorithm", "repeated-shots", "repeated-counts"],
 )
 def test_bench_bad_experiment_flags_fail_before_any_work(tmp_path, monkeypatch, capsys, flags, reason):
     data = gen(tmp_path, n=4)

@@ -1,10 +1,14 @@
 """Inner network: shapes, oracles, initialization, loss, checkpoints."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from metaloc import autodiff as ad
 from metaloc import model
+from metaloc.tasks import DataFormatError
 
 
 def param_count(params):
@@ -216,24 +220,44 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         assert np.array_equal(loaded[name].data, params[name].data)
 
 
-def test_checkpoint_mismatch_rejected(tmp_path):
-    params = model.init_params(1)
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda doc: doc["layers"][0].update(shape=[9, 9], values=[0.0] * 81),
+         r"layer conv1.weight: shape \[9, 9\], expected \[10, 3, 3\]"),
+        (lambda doc: doc["layers"][0].update(shape="abc"),
+         "layer conv1.weight: field 'shape' is not a list of numbers"),
+        (lambda doc: doc["layers"][1].update(values=[[0.0] * 5, [0.0] * 4]),
+         "layer conv1.bias: field 'values' is not a list of numbers"),
+        (lambda doc: doc["layers"][0]["values"].__setitem__(0, None), "layer conv1.weight: values must be finite"),
+        (lambda doc: doc["layers"].reverse(), r"layers\[0\] must be an object named 'conv1.weight'"),
+        (lambda doc: doc["layers"].pop(), "'layers' must be a list of 14 layers"),
+        (lambda doc: doc["layers"][2].pop("values"), "layer conv2.weight: missing field 'values'"),
+        (lambda doc: doc["layers"][0]["values"].pop(), r"layer conv1.weight has 89 values for shape \[10, 3, 3\]"),
+    ],
+    ids=["shape-mismatch", "shape-string", "ragged-values", "null-value",
+         "layer-order", "layer-missing", "values-missing", "values-short"],
+)
+def test_checkpoint_mismatch_rejected(tmp_path, edit, match):
     path = tmp_path / "ckpt.json"
-    model.save_params(params, path)
-    import json
-
+    model.save_params(model.init_params(1), path)
     doc = json.loads(path.read_text())
-    doc["layers"][0]["shape"] = [9, 9]
-    doc["layers"][0]["values"] = [0.0] * 81
+    edit(doc)
     path.write_text(json.dumps(doc))
-    with pytest.raises(model.CheckpointError, match="conv1.weight"):
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: ") + match):
         model.load_params(path)
 
 
 def test_checkpoint_missing_file_and_bad_json(tmp_path):
-    with pytest.raises(model.CheckpointError, match="not found"):
+    with pytest.raises(DataFormatError, match="not found"):
         model.load_params(tmp_path / "nope.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{truncated")
-    with pytest.raises(model.CheckpointError, match="JSON"):
+    with pytest.raises(DataFormatError, match="JSON"):
+        model.load_params(bad)
+    bad.write_bytes(b"\xff\xfe{")
+    with pytest.raises(DataFormatError, match=re.escape(f"{bad}: invalid JSON, not UTF-8 text")):
+        model.load_params(bad)
+    bad.write_text("[]")
+    with pytest.raises(DataFormatError, match=re.escape(f"{bad}: top level must be a JSON object, got list")):
         model.load_params(bad)

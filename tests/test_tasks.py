@@ -62,6 +62,8 @@ def test_degenerate_geometry_rejected():
         tasks.generate_scenario(0, small_config(grid=GridSpec(spacing_cm=0.0)))
     with pytest.raises(ValueError, match="grid"):
         tasks.generate_scenario(0, small_config(grid=GridSpec(rows=1, cols=1)))
+    with pytest.raises(ValueError, match="degenerate grid -3x-4: needs rows >= 1, cols >= 1"):
+        tasks.generate_scenario(0, small_config(grid=GridSpec(rows=-3, cols=-4)))
     with pytest.raises(ValueError, match="samples_per_rp"):
         tasks.generate_scenario(0, ChannelConfig(samples_per_rp=1))
 
@@ -293,7 +295,12 @@ def test_load_rejects_misaligned_labels(tmp_path, edit, match):
         (lambda doc: doc["samples"][3].update(pos_cm=5), r"samples\[3\]: field 'pos_cm'"),
         (lambda doc: doc["samples"][3].update(pos_cm={"x": 0.0, "y": 0.0}), r"samples\[3\]: field 'pos_cm'"),
         (lambda doc: doc["samples"][3].update(amp=None), r"samples\[3\]: field 'amp'"),
-        (lambda doc: doc["samples"][3]["amp"].__setitem__(0, "x"), r"samples\[3\]: field 'amp'.*'x'"),
+        (lambda doc: doc["samples"][3]["amp"].__setitem__(0, "x"), r"samples\[3\]: field 'amp' is not a list of numbers"),
+        (lambda doc: doc["samples"][3]["amp"].__setitem__(0, "0.5"), r"samples\[3\]: field 'amp' is not a list of numbers"),
+        (lambda doc: doc["samples"][3].update(amp=[True] * 90), r"samples\[3\]: field 'amp' is not a list of numbers"),
+        (lambda doc: doc["samples"][3].update(pos_cm=["0", "0"]), r"samples\[3\]: field 'pos_cm' is not a list of numbers"),
+        (lambda doc: doc["samples"][3]["amp"].__setitem__(7, None), r"samples\[3\]: amplitudes must be finite"),
+        (lambda doc: doc["samples"][3]["amp"].__setitem__(7, -1.0), r"samples\[3\]: amplitudes must be .*non-negative"),
         (lambda doc: doc["samples"][3].update(rp=None), r"samples\[3\]: field 'rp'"),
         # sample 3 is at reference point 0, which each of these would coerce to
         (lambda doc: doc["samples"][3].update(rp=0.7), r"\[3\]: field 'rp' must be an integer, got 0.7"),
@@ -307,6 +314,7 @@ def test_load_rejects_misaligned_labels(tmp_path, edit, match):
     ],
     ids=[
         "sample-int", "pos-int", "pos-object", "amp-null", "amp-string-entry",
+        "amp-number-string", "amp-bools", "pos-strings", "amp-null-entry", "amp-negative",
         "rp-null", "rp-fraction", "rp-float", "rp-bool", "rp-string",
         "grid-int", "rows-fraction", "cols-string", "spacing-null",
     ],
