@@ -1,7 +1,8 @@
 """End-to-end outputs of the CLI, pinned against committed references.
 
 Each command runs at a tiny budget on one generated dataset of 4 rooms:
-`bench`, `importance`, `train` for each meta-learner and `eval`. Named
+`bench`, `importance`, `train` for each baseline and each meta-learner,
+and `eval`. Named
 numeric outputs are compared with `pinned_outputs.json` at rtol 1e-9, as
 the benchmark's output check does: bitwise equality fails across BLAS
 builds, while any change to the arithmetic moves these values far more. Values read back from the CSV
@@ -46,6 +47,7 @@ BENCH = [
     "--finetune-epochs", "1",
     "--importance-epochs", "1",
 ]
+BASELINES = ("conventional", "transfer")
 META = ("maml", "fomaml", "tb-maml")
 
 
@@ -84,13 +86,14 @@ def run_commands(root: Path) -> dict:
     for key in ("importance", "average_losses", "loss_matrix"):
         out[f"importance.{key}"] = np.array(doc[key], dtype=np.float64).tolist()
 
-    for algo in META:
+    for algo in BASELINES + META:
         run = root / algo
         argv = ["train", "--algo", algo, "--data", str(data), "--out", str(run)] + BUDGET
         assert main(argv + (["--importance", str(imp)] if algo == "tb-maml" else [])) == 0
         for name, value in _layer_norms(run / "checkpoint.json").items():
             out[f"train.{algo}.{name}"] = value
-        out[f"train.{algo}.query_loss"] = _csv_column(run / "trace.csv", "query_loss")
+        if algo in META:  # a baseline's trace.csv has no rows
+            out[f"train.{algo}.query_loss"] = _csv_column(run / "trace.csv", "query_loss")
 
     ev = root / "eval"
     argv = ["eval", "--checkpoint", str(root / "maml" / "checkpoint.json"), "--data", str(data)]
@@ -113,7 +116,7 @@ def reference():
     return json.loads(REFERENCE.read_text())
 
 
-@pytest.mark.parametrize("group", ["bench", "importance", *(f"train.{a}" for a in META), "eval"])
+@pytest.mark.parametrize("group", ["bench", "importance", *(f"train.{a}" for a in BASELINES + META), "eval"])
 def test_outputs_match_the_pinned_references(outputs, reference, group):
     keys = sorted(k for k in reference if k.startswith(group + "."))
     assert keys, f"no pinned keys for {group}"
