@@ -142,8 +142,9 @@ def _importance_doc(vector: meta.ImportanceVector, cfg: meta.MetaConfig, scenari
 def _load_importance(path: Path, scenarios) -> meta.ImportanceVector:
     """The importance vector of a file written on these scenarios' samples.
 
-    For n task ids it holds n task digests, n importance values in [-1, 1],
-    n average losses and an n x n loss matrix, or it is a data error.
+    It holds one task id per training scenario and, for n task ids, n task
+    digests, n importance values in [-1, 1], n average losses and an n x n
+    loss matrix, or it is a data error.
     """
     doc, where = read_json(path), str(path)
     task_ids, digests = (_require(doc, name, where) for name in ("task_ids", "task_digests"))
@@ -153,6 +154,8 @@ def _load_importance(path: Path, scenarios) -> meta.ImportanceVector:
     values, average = (numeric_field(doc, name, 1, where) for name in ("importance", "average_losses"))
     matrix = numeric_field(doc, "loss_matrix", 2, where)
     n = len(task_ids)
+    if n != len(scenarios):
+        raise DataFormatError(f"{path}: field 'task_ids' has {n} entries for {len(scenarios)} scenarios")
     for name, value in (("task_digests", digests), ("importance", values), ("average_losses", average)):
         if len(value) != n:
             raise DataFormatError(f"{path}: field {name!r} has {len(value)} entries for {n} task ids")
@@ -223,13 +226,11 @@ def cmd_train(args) -> int:
         target = scenarios[args.target]
         resolved["target"] = target.id
         task = meta.build_task_data(target, cfg.shots, cfg.seed)
-        if args.algo == "conventional":
-            params = meta.train_conventional(task, cfg)
-        else:
-            others = [s for s in scenarios if s.id != target.id]
-            source = meta.pick_transfer_source(others, cfg.seed)
+        source = None  # conventional
+        if args.algo == "transfer":
+            source = meta.pick_transfer_source([s for s in scenarios if s.id != target.id], cfg.seed)
             resolved["source"] = source.id
-            params = meta.train_transfer(source, task, cfg)
+        (params,) = meta.train_baseline(source, [task], cfg)
 
     ckpt = out / "checkpoint.json"
     save_params(params, ckpt)

@@ -11,6 +11,10 @@ Every cell derives its randomness from (seed, repeat, scenario, shots)
 substreams, never from the algorithm, so all algorithms see identical
 partitions and identical k-shot support sets.
 
+A benchmark or sweep cell gets its errors from one function, _errors: it
+meta-trains a meta-learner and adapts it to each test task, or trains a
+baseline with meta.train_baseline and scores it without adaptation.
+
 Each experiment is also a plan (benchmark_plan, matrix_plan,
 sweep_plan): its cells plus a function that assembles the result from
 their outputs. Each plan owns the checks of its experiment, lists them
@@ -234,7 +238,7 @@ def run_plans(*plans) -> list:
 
 
 def _repeat_split(scenarios, cfg: MetaConfig, repeat: int, shots: int, test_count: int):
-    """One repeat's config (seeded by the repeat), training scenarios and test tasks.
+    """One repeat's training scenarios, test tasks and config (seeded by the repeat).
 
     The partition and the k-shot splits derive from (seed, repeat) only,
     so every algorithm and every task count of a repeat shares them.
@@ -242,20 +246,24 @@ def _repeat_split(scenarios, cfg: MetaConfig, repeat: int, shots: int, test_coun
     seed = substream_int(cfg.seed, "repeat", repeat)
     train, test = partition_tasks(scenarios, test_count, substream_int(seed, "partition"))
     test_tasks = [build_task_data(s, shots, seed) for s in test]
-    return replace(cfg, seed=seed, shots=shots), train, test_tasks
+    return train, test_tasks, replace(cfg, seed=seed, shots=shots)
 
 
-def _meta_errors(scenarios, algorithm, shots, repeat, cfg, test_count, count=None) -> list:
-    """[(scenario id, errors)] of one repeat's test tasks, each adapted from
-    `algorithm` meta-trained on the repeat's training scenarios: all of
-    them, or the first `count` in a seeded order shared by every algorithm.
+def _errors(algorithm, train, test_tasks, run_cfg) -> list:
+    """[(scenario id, errors)] of the test tasks for `algorithm` trained on
+    the `train` scenarios. A meta-learner adapts its meta-trained
+    initialization to each task; a baseline is scored as fine-tuned, with
+    transfer's source drawn from `train`.
     """
-    run_cfg, train, test_tasks = _repeat_split(scenarios, cfg, repeat, shots, test_count)
-    if count is not None:
-        order = substream(run_cfg.seed, "subsample", count).permutation(len(train))
-        train = [train[i] for i in order[:count]]
-    params = meta_train(algorithm, train, run_cfg)
-    return [(t.scenario_id, adapt_and_eval(params, t, run_cfg)) for t in test_tasks]
+    if algorithm in meta.META_ALGORITHMS:
+        params = meta_train(algorithm, train, run_cfg)
+        return [(t.scenario_id, adapt_and_eval(params, t, run_cfg)) for t in test_tasks]
+    if algorithm not in ("conventional", "transfer"):
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALL_ALGORITHMS}")
+    source = meta.pick_transfer_source(train, run_cfg.seed) if algorithm == "transfer" else None
+    return meta.train_baseline(
+        source, test_tasks, run_cfg, lambda tuned, task: (task.scenario_id, _query_errors(tuned, task))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +306,7 @@ def cross_scenario_matrix(scenarios: Sequence[Scenario], cfg: MetaConfig) -> np.
 def _benchmark_cell(args):
     """One (repeat, algorithm, shots) cell; returns report entries."""
     scenarios, algorithm, shots, repeat, cfg, test_count = args
-    if algorithm in meta.META_ALGORITHMS:
-        results = _meta_errors(scenarios, algorithm, shots, repeat, cfg, test_count)
-    elif algorithm == "conventional":
-        run_cfg, _, test_tasks = _repeat_split(scenarios, cfg, repeat, shots, test_count)
-        results = [
-            (t.scenario_id, _query_errors(meta.train_conventional(t, run_cfg), t)) for t in test_tasks
-        ]
-    elif algorithm == "transfer":
-        run_cfg, train, test_tasks = _repeat_split(scenarios, cfg, repeat, shots, test_count)
-        source = meta.pick_transfer_source(train, run_cfg.seed)
-        results = meta.cross_transfer(
-            substream_int(run_cfg.seed, "init"), batch_from(source.samples), test_tasks,
-            run_cfg.baseline_epochs, run_cfg.finetune_epochs, run_cfg.baseline_lr,
-            lambda tuned, task: (task.scenario_id, _query_errors(tuned, task)),
-        )
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALL_ALGORITHMS}")
+    results = _errors(algorithm, *_repeat_split(scenarios, cfg, repeat, shots, test_count))
     return [(algorithm, shots, repeat, sid, errs) for sid, errs in results]
 
 
@@ -403,7 +395,10 @@ def benchmark(
 
 def _sweep_cell(args):
     scenarios, algorithm, count, repeat, cfg, test_count = args
-    results = _meta_errors(scenarios, algorithm, cfg.shots, repeat, cfg, test_count, count)
+    train, test_tasks, run_cfg = _repeat_split(scenarios, cfg, repeat, cfg.shots, test_count)
+    # the first `count` training scenarios in a seeded order shared by every algorithm
+    order = substream(run_cfg.seed, "subsample", count).permutation(len(train))
+    results = _errors(algorithm, [train[i] for i in order[:count]], test_tasks, run_cfg)
     return algorithm, count, repeat, np.concatenate([errs for _, errs in results])
 
 

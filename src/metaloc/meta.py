@@ -12,13 +12,14 @@ biased by a per-task importance weight u in [-1, 1]:
 
     step_j = max(STEP_FLOOR, beta + gamma * u_j)
 
-The baselines and the importance vector share one cross-transfer
-primitive, cross_transfer: fit a fresh model on a source batch, fine-tune
-a copy on each target's support, and score it. The importance vector is
-computed once, up front: train a model per task, measure how well each
-transfers to every other task's few-shot split, min-max the per-task
-average losses to [-1, 1] and negate (low transfer loss means high
-importance).
+Both baselines (train_baseline) and the importance vector share one
+cross-transfer primitive, cross_transfer: fit a fresh model on a source
+batch, fine-tune a copy on each target's support, and score it.
+Conventional is the case without a source: 0 source epochs. The
+importance vector is computed once, up front: train a model per task,
+measure how well each transfers to every other task's few-shot split,
+min-max the per-task average losses to [-1, 1] and negate (low transfer
+loss means high importance).
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ __all__ = [
     "importance_from_losses",
     "compute_importance",
     "meta_train",
-    "train_conventional",
-    "train_transfer",
+    "train_baseline",
     "adapt_and_eval",
     "META_ALGORITHMS",
 ]
@@ -238,8 +238,9 @@ def cross_transfer(
     """Fit a fresh model on a source batch, then per target fine-tune and score.
 
     The model starts from init_params(init_seed) and is fit on the source
-    (X, Y) batch for source_epochs. For each target a copy is fine-tuned on
-    the target's support for finetune_epochs, and score(params, target) is
+    (X, Y) batch for source_epochs; at 0 source epochs `source` is never
+    read and may be None. For each target a copy is fine-tuned on the
+    target's support for finetune_epochs, and score(params, target) is
     returned, in target order.
     """
     base = fit_params(init_params(init_seed), source, source_epochs, lr)
@@ -417,6 +418,8 @@ def meta_train(
             raise ValueError(
                 f"importance is for tasks {importance.task_ids}, not the training tasks {ids}"
             )
+        if not np.all(np.abs(importance.values) <= 1.0):  # also false for NaN
+            raise ValueError(f"importance values {importance.values} are not all finite and in [-1, 1]")
 
     params = init_params(substream_int(cfg.seed, "init"))
     sampler = substream(cfg.seed, "sampling")
@@ -455,19 +458,20 @@ def meta_train(
     return params
 
 
-def train_conventional(task: TaskData, cfg: MetaConfig) -> dict:
-    """Fresh initialization trained only on the task's k-shot support."""
-    params = init_params(substream_int(cfg.seed, "init"))
-    return fit_params(params, task.support, cfg.baseline_epochs, cfg.baseline_lr)
+def train_baseline(
+    source: Optional[Scenario], targets: Sequence[TaskData], cfg: MetaConfig,
+    score: Callable = lambda tuned, _: tuned,
+) -> list:
+    """score(params, target) of a baseline per target; by default the params.
 
-
-def train_transfer(source: Scenario, target: TaskData, cfg: MetaConfig) -> dict:
-    """Train on all of one source scenario, then fine-tune on the target support."""
-    (params,) = cross_transfer(
-        substream_int(cfg.seed, "init"), batch_from(source.samples), [target],
-        cfg.baseline_epochs, cfg.finetune_epochs, cfg.baseline_lr, lambda tuned, _: tuned,
-    )
-    return params
+    Transfer (a source scenario) fits all of the source for baseline_epochs,
+    then fine-tunes a copy on each target's support for finetune_epochs.
+    Conventional (source None) fits only each target's support, for
+    baseline_epochs. Both start from the seed's "init" substream.
+    """
+    batch = None if source is None else batch_from(source.samples)
+    epochs = (0, cfg.baseline_epochs) if source is None else (cfg.baseline_epochs, cfg.finetune_epochs)
+    return cross_transfer(substream_int(cfg.seed, "init"), batch, targets, *epochs, cfg.baseline_lr, score)
 
 
 def adapt_and_eval(params: dict, task: TaskData, cfg: MetaConfig) -> np.ndarray:

@@ -343,6 +343,30 @@ def test_train_tb_maml_malformed_importance_is_data_error(tmp_path, capsys, doc,
     assert not (tmp_path / "o" / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("file_tasks, data_tasks", [(3, 4), (4, 3)], ids=["3-for-4", "4-for-3"])
+def test_train_tb_maml_importance_task_count_must_match_scenarios(tmp_path, capsys, file_tasks, data_tasks):
+    # gen draws room k from (seed, k), so the rooms an importance file names are the data's own
+    rooms = load_scenario_dir(gen(tmp_path / "rooms", n=4))[:file_tasks]
+    doc = {
+        "task_ids": [s.id for s in rooms],
+        "task_digests": [s.digest() for s in rooms],
+        "importance": [0.0] * file_tasks,
+        "average_losses": [1.0] * file_tasks,
+        "loss_matrix": [[None if i == j else 1.0 for j in range(file_tasks)] for i in range(file_tasks)],
+    }
+    imp = tmp_path / "importance.json"
+    imp.write_text(json.dumps(doc))
+    data = gen(tmp_path, n=data_tasks)
+    rc = main(
+        ["train", "--algo", "tb-maml", "--data", str(data), "--k", "1", "--importance", str(imp),
+         "--out", str(tmp_path / "o")] + FAST_FLAGS
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"data error: {imp}: field 'task_ids' has {file_tasks} entries for {data_tasks} scenarios" in err
+    assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+
 def test_train_tb_maml_importance_of_same_rooms_is_accepted(tmp_path):
     data = gen(tmp_path, n=3, seed=1)
     imp = tmp_path / "importance.json"

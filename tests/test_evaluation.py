@@ -171,6 +171,12 @@ def test_benchmark_rejects_unknown_algorithm():
         benchmark(small_scenarios(3), ["magic"], [1], 1, quick_cfg(), test_count=1)
 
 
+def test_cell_rejects_unknown_algorithm():
+    # the plan's check aside, a cell never runs an unknown name as a baseline
+    with pytest.raises(ValueError, match="unknown algorithm 'magic'"):
+        evaluation._benchmark_cell((small_scenarios(3), "magic", 1, 0, quick_cfg(), 1))
+
+
 @pytest.mark.parametrize(
     "algorithms, shots, reason",
     [

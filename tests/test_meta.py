@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from metaloc import autodiff as ad
 from metaloc import meta, model, tasks
 from metaloc.meta import MetaConfig, TaskData
+from metaloc.seeding import substream_int
 
 
 def toy_loss(params, target):
@@ -342,13 +343,29 @@ def test_tb_maml_rejects_importance_of_other_tasks():
         meta.meta_train("tb-maml", scenarios, quick_cfg(), importance=imp)
 
 
+@pytest.mark.parametrize(
+    "values", [[50.0, -30.0, 1.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -1.0 - 1e-9, 1.0]],
+    ids=["far-out", "nan", "inf", "just-below"],
+)
+def test_tb_maml_rejects_importance_outside_unit_range(values):
+    scenarios = small_scenarios(3)
+    imp = meta.ImportanceVector(
+        values=np.array(values),
+        average_losses=np.zeros(3),
+        loss_matrix=np.zeros((3, 3)),
+        task_ids=[s.id for s in scenarios],
+    )
+    # the check runs before iteration 0: no meta-gradient is taken
+    with mock.patch.object(meta, "_meta_gradients", side_effect=AssertionError("iteration 0 ran")):
+        with pytest.raises(ValueError, match=r"are not all finite and in \[-1, 1\]"):
+            meta.meta_train("tb-maml", scenarios, quick_cfg(), importance=imp)
+
+
 def test_conventional_zero_epochs_is_random_init():
     scenarios = small_scenarios(1)
     cfg = quick_cfg()
     task = meta.build_task_data(scenarios[0], 1, cfg.seed)
-    theta = meta.train_conventional(task, dataclasses.replace(cfg, baseline_epochs=0))
-    from metaloc.seeding import substream_int
-
+    (theta,) = meta.train_baseline(None, [task], dataclasses.replace(cfg, baseline_epochs=0))
     init = model.init_params(substream_int(cfg.seed, "init"))
     for name in theta:
         assert np.array_equal(theta[name].data, init[name].data)
@@ -358,19 +375,48 @@ def test_transfer_zero_finetune_is_source_model():
     scenarios = small_scenarios(2)
     cfg = quick_cfg()
     task = meta.build_task_data(scenarios[1], 1, cfg.seed)
-    tuned = meta.train_transfer(scenarios[0], task, dataclasses.replace(cfg, finetune_epochs=0))
+    (tuned,) = meta.train_baseline(scenarios[0], [task], dataclasses.replace(cfg, finetune_epochs=0))
     source_only = meta.fit_params(
-        model.init_params(
-            __import__("metaloc.seeding", fromlist=["substream_int"]).substream_int(
-                cfg.seed, "init"
-            )
-        ),
+        model.init_params(substream_int(cfg.seed, "init")),
         tasks.batch_from(scenarios[0].samples),
         cfg.baseline_epochs,
         cfg.baseline_lr,
     )
     for name in tuned:
         assert np.array_equal(tuned[name].data, source_only[name].data)
+
+
+def test_conventional_is_a_support_fit_per_target():
+    scenarios = small_scenarios(3)
+    cfg = quick_cfg(baseline_epochs=4)
+    targets = [meta.build_task_data(s, 2, cfg.seed) for s in scenarios]
+    fitted = meta.train_baseline(None, targets, cfg)
+    assert len(fitted) == len(targets)
+    for target, theta in zip(targets, fitted):
+        want = meta.fit_params(
+            model.init_params(substream_int(cfg.seed, "init")), target.support,
+            cfg.baseline_epochs, cfg.baseline_lr,
+        )
+        assert list(theta) == list(want)
+        for name in want:
+            assert np.array_equal(theta[name].data, want[name].data)  # bitwise
+    # one fit per target, not one model shared by all
+    assert not np.array_equal(fitted[0]["dense5.weight"].data, fitted[1]["dense5.weight"].data)
+    ids = meta.train_baseline(None, targets, cfg, score=lambda tuned, task: task.scenario_id)
+    assert ids == [t.scenario_id for t in targets]
+
+
+def test_transfer_to_several_targets_equals_one_target_runs():
+    scenarios = small_scenarios(3)
+    cfg = quick_cfg()
+    targets = [meta.build_task_data(s, 2, cfg.seed) for s in scenarios[1:]]
+    together = meta.train_baseline(scenarios[0], targets, cfg)
+    assert len(together) == len(targets)
+    for target, theta in zip(targets, together):
+        (alone,) = meta.train_baseline(scenarios[0], [target], cfg)
+        assert list(theta) == list(alone)
+        for name in alone:
+            assert np.array_equal(theta[name].data, alone[name].data)  # bitwise
 
 
 def test_adapt_and_eval_counts_and_perfect_predictor():
