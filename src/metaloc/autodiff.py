@@ -152,10 +152,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # the meta-learners sum their per-task gradients with +
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
 
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -272,14 +268,12 @@ def transpose(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     def vjp(g: Tensor):
-        # mask is piecewise constant in the inputs, so treating it as a
-        # constant is exact almost everywhere (and for second order too)
-        return (mul(g, mask),)
+        # the mask is built when the rule runs, so an undifferentiated graph
+        # holds none; it is piecewise constant in the inputs, so treating it
+        # as a constant is exact almost everywhere (and for second order too)
+        return (mul(g, Tensor((a.data > 0).astype(np.float64))),)
 
-    out = _make(np.maximum(a.data, 0.0), "relu", (a,), vjp)
-    if out.node is not None:  # no node, no backward: skip the mask
-        mask = Tensor((a.data > 0).astype(np.float64))
-    return out
+    return _make(np.maximum(a.data, 0.0), "relu", (a,), vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

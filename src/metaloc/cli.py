@@ -194,8 +194,8 @@ def cmd_importance(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.algo == "tb-maml" and not args.importance:
-        _check_worker_count()  # the importance vector is computed in the pool
+    if args.algo in meta.META_ALGORITHMS:
+        _check_worker_count()  # meta-batches and the importance vector run in the pool
     scenarios = load_scenario_dir(args.data)
     cfg = _meta_config(args)
     out = Path(args.out)

@@ -26,12 +26,17 @@ runs all three as one batch, so no worker idles at the end of one
 experiment while another's cells wait.
 
 Cells run in one pool of METALOC_THREADS spawned workers that starts on
-first use and serves every later batch. A batch inside a cell (tb-maml's
-importance vector), or at one worker once BLAS is pinned, runs inline.
-Every process computes at one BLAS thread, so results do not depend on
-the worker count. A spawned worker imports the caller's main module, so
-a script that calls an experiment, run_plans, meta.compute_importance or
-meta.meta_train("tb-maml") without an importance vector keeps that call
+first use and serves every later batch. Three kinds of batch use it: the
+experiment cells (run_plans), the rows of meta.compute_importance, and
+the distinct tasks but the first of a MAML or FOMAML meta-batch, which
+the caller adapts itself meanwhile (meta._meta_gradients). A batch
+inside a cell (a benchmark cell's meta-training or tb-maml's importance
+vector), or at one worker once BLAS is pinned, runs inline. Every
+process computes at one BLAS thread, so results do not depend on the
+worker count. A spawned worker imports the caller's main module, so a
+script that calls an experiment, run_plans, meta.compute_importance,
+meta.meta_train("tb-maml") without an importance vector or
+meta.meta_train("maml"|"fomaml") at more than 1 worker keeps that call
 under an `if __name__ == "__main__":` guard.
 """
 
@@ -186,23 +191,43 @@ def worker_count() -> int:
 _pool = None  # (workers, ProcessPoolExecutor) shared by every experiment in this process
 
 
-def _run_cells(fn, cells, workers: int):
-    """Map fn over cells in this process's pool of `workers` spawned
-    workers, order preserved; inline in a pool worker, so no second pool
-    starts, and at one worker once the BLAS pin is confirmed."""
+def _map_cells(fn, cells, workers: int):
+    """Iterator of fn over cells, order preserved, from this process's pool
+    of `workers` spawned workers; every cell is submitted before it returns.
+    Inline and lazy in a pool worker, so no second pool starts, and at one
+    worker once the BLAS pin is confirmed. A worker that dies raises
+    BrokenProcessPool, at submission or while the results are read, and
+    drops the pool, so the next batch starts a new one.
+    """
     global _pool
     if multiprocessing.parent_process() is not None or (workers == 1 and _BLAS_PINNED):
-        return [fn(cell) for cell in cells]
+        return map(fn, cells)
     if _pool is not None and _pool[0] != workers:
         _close_pool()
     if _pool is None:
         context = multiprocessing.get_context("spawn")
         _pool = (workers, ProcessPoolExecutor(workers, mp_context=context))
+    results = _pooled(fn, cells)
+    next(results)  # runs to its first yield: every cell is submitted
+    return results
+
+
+def _pooled(fn, cells):
+    """Submit every cell to the pool and yield once, then yield the
+    results in order; a BrokenProcessPool from either step drops the pool."""
+    global _pool
     try:
-        return list(_pool[1].map(fn, cells))
+        results = _pool[1].map(fn, cells)
+        yield
+        yield from results
     except BrokenProcessPool:
         _pool = None  # a worker died; the next call starts a new pool
         raise
+
+
+def _run_cells(fn, cells, workers: int) -> list:
+    """The results of _map_cells as a list."""
+    return list(_map_cells(fn, cells, workers))
 
 
 def _close_pool() -> None:

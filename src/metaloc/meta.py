@@ -254,6 +254,22 @@ def pick_transfer_source(candidates: Sequence[Scenario], seed: int) -> Scenario:
     return candidates[int(substream(seed, "transfer-source").integers(len(candidates)))]
 
 
+def _task_gradient(cell):
+    """One task's share of a meta-gradient: (gradient arrays, query loss).
+
+    cell is (params, task, cfg, second_order, loss_fn), with params a dict
+    of name -> array, so a pool cell pickles no Tensor. The task's graph
+    dies when this returns.
+    """
+    arrays, task, cfg, second_order, loss_fn = cell
+    params = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    adapted = inner_adapt(
+        params, task.support, cfg.alpha, cfg.inner_steps, create_graph=second_order, loss_fn=loss_fn,
+    )
+    q = loss_fn(adapted, task.query)
+    return [g.data for g in grad(q, (params if second_order else adapted).values())], q.item()
+
+
 def _meta_gradients(
     params: dict,
     tasks: Sequence[TaskData],
@@ -266,36 +282,38 @@ def _meta_gradients(
 
     Second order differentiates through the adaptation; first order takes
     the query gradients at the adapted weights (which line up with the
-    initialization tensor-for-tensor). Either way each task's gradient is
-    taken as soon as that task is adapted, and the gradients are summed in
-    batch order. The task's adapted weights and query loss, the only
-    references to its graph, are deleted as soon as its gradient is taken,
-    so no graph outlives its gradient and peak memory is one task's graph,
-    not the meta-batch's.
+    initialization tensor-for-tensor). Each distinct task is one
+    _task_gradient cell, and the gradients are summed in batch order.
 
     A task that appears more than once (the same TaskData object; tasks are
     keyed by identity, never compared with ==) is adapted and differentiated
-    once, at its first position. Its gradient and query loss are kept until
-    its last position and added again at each repeat, which gives the same
-    sum and loss list, bit for bit, as adapting it every time.
+    once, and its gradient and query loss are added again at each repeat,
+    which gives the same sum and loss list, bit for bit, as adapting it
+    every time.
+
+    With 2 or more distinct tasks, all but the first go to the pool
+    (evaluation._map_cells), and the caller adapts the first meanwhile; a
+    batch of one distinct task never touches the pool. Every process
+    computes at one BLAS thread, so where a task runs changes no bit. The
+    caller builds one graph, its first task's, which dies once its
+    gradient is taken, and holds each distinct task's gradient arrays
+    until the sum is done. In a pool worker, or at one worker, the other
+    tasks run inline after the first, one graph at a time.
     """
-    last = {id(task): pos for pos, task in enumerate(tasks)}
-    held: dict = {}  # id(task) -> (gradient, query loss) until the task's last position
+    from . import evaluation  # evaluation imports this module
+
+    distinct = list({id(task): task for task in tasks}.values())
+    arrays = {name: p.data for name, p in params.items()}
+    cells = [(arrays, task, cfg, second_order, loss_fn) for task in distinct]
+    others = evaluation._map_cells(_task_gradient, cells[1:], evaluation.worker_count()) if cells[1:] else ()
+    first = _task_gradient(cells[0])
+    results = {id(task): result for task, result in zip(distinct, [first, *others])}
     grads, query_losses = None, []
-    for pos, task in enumerate(tasks):
-        key = id(task)
-        if key not in held:
-            adapted = inner_adapt(
-                params, task.support, cfg.alpha, cfg.inner_steps,
-                create_graph=second_order, loss_fn=loss_fn,
-            )
-            q = loss_fn(adapted, task.query)
-            held[key] = grad(q, (params if second_order else adapted).values()), q.item()
-            del adapted, q
-        g, loss_value = held[key] if last[key] > pos else held.pop(key)
+    for task in tasks:
+        g, loss_value = results[id(task)]
         query_losses.append(loss_value)
         grads = g if grads is None else [a + b for a, b in zip(grads, g)]
-    return grads, query_losses
+    return [Tensor(g) for g in grads], query_losses
 
 
 def effective_step(cfg: MetaConfig, importance: float) -> float:
@@ -342,8 +360,9 @@ def compute_importance(scenarios: Sequence[Scenario], cfg: MetaConfig) -> Import
     transfer well (low average loss) get importance near +1.
 
     Each row i is one experiment cell (evaluation._run_cells), so a script
-    that calls this, or meta_train("tb-maml") without an importance
-    vector, keeps the call under an `if __name__ == "__main__":` guard.
+    that calls this, meta_train("tb-maml") without an importance vector,
+    or meta_train("maml"|"fomaml") at more than 1 worker keeps the call
+    under an `if __name__ == "__main__":` guard.
     """
     from . import evaluation  # evaluation imports this module
 
@@ -391,7 +410,12 @@ def meta_train(
     and FOMAML adapt and differentiate each distinct task of the batch
     once and count it at every position it was drawn (_meta_gradients),
     so a repeated task weighs as often as it was drawn and the trace has
-    one row per draw. TB-MAML steps after every task, one task at a time.
+    one row per draw. A batch of 2 or more distinct tasks runs all but
+    the first in the evaluation pool of worker_count() workers, in
+    parallel with the caller, so a script that calls this keeps the call
+    under an `if __name__ == "__main__":` guard. TB-MAML steps after every
+    task, one task at a time, in the caller. `importance` is for tb-maml
+    only; MAML and FOMAML reject one.
     """
     if algorithm not in META_ALGORITHMS:
         raise ValueError(f"unknown meta algorithm {algorithm!r}; expected {META_ALGORITHMS}")
@@ -403,6 +427,8 @@ def meta_train(
             f"meta_train needs shots >= 1: the inner adaptation fits each task's "
             f"support set, which is empty at shots={cfg.shots}"
         )
+    if algorithm != "tb-maml" and importance is not None:
+        raise ValueError(f"{algorithm} takes no importance vector; only tb-maml biases its steps by one")
     tasks = [build_task_data(s, cfg.shots, cfg.seed) for s in scenarios]
 
     if algorithm == "tb-maml":

@@ -578,6 +578,19 @@ def test_importance_pool_bad_worker_count_usage_error(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("algo", ["maml", "fomaml"])
+def test_train_meta_learner_bad_worker_count_usage_error(tmp_path, monkeypatch, capsys, algo):
+    # meta-batches run in the pool; the data directory does not exist, so
+    # reading it first would be a data error (3)
+    monkeypatch.setenv("METALOC_THREADS", "0")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--algo", algo, "--data", str(tmp_path / "missing"), "--out", str(out)] + FAST_FLAGS)
+    assert exc.value.code == 2
+    assert "METALOC_THREADS must be a positive integer, got '0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _live_group_members(pgid: int) -> dict:
     """{pid: command line} of the processes in group pgid that have not exited, from /proc."""
     members = {}

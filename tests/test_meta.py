@@ -1,8 +1,11 @@
 """Trainer math on closed-form toys, importance algebra, reductions."""
 
 import dataclasses
+import multiprocessing
+import os
 import re
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metaloc import autodiff as ad
-from metaloc import meta, model, tasks
+from metaloc import evaluation, meta, model, tasks
 from metaloc.meta import MetaConfig, TaskData
 from metaloc.seeding import substream_int
 
@@ -565,20 +568,26 @@ def test_meta_gradient_peak_memory_is_one_task(second_order):
 # a task repeated in a meta-batch is adapted once
 
 
+def inline():
+    """Run a meta-batch's pool cells in this process, at one worker, where
+    an inner_adapt spy sees every task (once BLAS is pinned)."""
+    return mock.patch.dict(os.environ, {"METALOC_THREADS": "1"})
+
+
 def summed_one_task_batches(params, batch, cfg, second_order, loss_fn):
     """The meta-gradients of `batch` as one-task batches summed position by position."""
     grads, losses = None, []
     for task in batch:
         g, (q,) = meta._meta_gradients(params, [task], cfg, second_order, loss_fn)
         losses.append(q)
-        grads = g if grads is None else [a + b for a, b in zip(grads, g)]
+        grads = g if grads is None else [ad.add(a, b) for a, b in zip(grads, g)]
     return grads, losses
 
 
 @pytest.mark.parametrize("second_order", [True, False], ids=["maml", "fomaml"])
 def test_repeated_task_is_adapted_once(second_order):
     a, b = toy_task(1.0), toy_task(-3.0)
-    with mock.patch.object(meta, "inner_adapt", wraps=meta.inner_adapt) as spy:
+    with inline(), mock.patch.object(meta, "inner_adapt", wraps=meta.inner_adapt) as spy:
         _, losses = meta._meta_gradients(theta_at(0.5), [a, b, a, a], toy_cfg(), second_order, toy_loss)
     assert [c.args[1] for c in spy.call_args_list] == [a.support, b.support]
     assert losses[0] == losses[2] == losses[3] != losses[1]
@@ -595,7 +604,7 @@ def test_repeated_task_gradients_are_bitwise_the_per_position_sum(second_order):
     params = model.init_params(3)
     batch = [a, b, a, a]
     expected, expected_losses = summed_one_task_batches(params, batch, cfg, second_order, meta._default_loss)
-    with mock.patch.object(meta, "inner_adapt", wraps=meta.inner_adapt) as spy:
+    with inline(), mock.patch.object(meta, "inner_adapt", wraps=meta.inner_adapt) as spy:
         grads, losses = meta._meta_gradients(params, batch, cfg, second_order, meta._default_loss)
     assert spy.call_count == 2
     assert losses == expected_losses
@@ -617,8 +626,81 @@ def test_meta_gradients_equal_per_position_sum_over_random_batches(constants, pi
     batch = [toys[i % len(toys)] for i in picks]
     cfg = toy_cfg(inner_steps=2)
     expected, expected_losses = summed_one_task_batches(theta_at(at), batch, cfg, second_order, toy_loss)
-    with mock.patch.object(meta, "inner_adapt", wraps=meta.inner_adapt) as spy:
+    with inline(), mock.patch.object(meta, "inner_adapt", wraps=meta.inner_adapt) as spy:
         grads, losses = meta._meta_gradients(theta_at(at), batch, cfg, second_order, toy_loss)
     assert spy.call_count == len({id(t) for t in batch})
     assert losses == expected_losses
     assert [g.data.tobytes() for g in grads] == [e.data.tobytes() for e in expected]
+
+
+# ---------------------------------------------------------------------------
+# the distinct tasks of a meta-batch but the first run in the pool
+
+
+def test_meta_batch_submits_every_distinct_task_but_the_first(monkeypatch):
+    a, b, c = toy_task(1.0), toy_task(-3.0), toy_task(2.0)
+    submitted = []
+
+    def recording(fn, cells, workers):
+        submitted.append([cell[1] for cell in cells])
+        return map(fn, cells)
+
+    monkeypatch.setattr(evaluation, "_map_cells", recording)
+    meta._meta_gradients(theta_at(0.5), [a, b, a, c], toy_cfg(), True, toy_loss)
+    assert len(submitted) == 1 and [t.support for t in submitted[0]] == [b.support, c.support]
+    submitted.clear()
+    meta._meta_gradients(theta_at(0.5), [a, a, a, a], toy_cfg(), True, toy_loss)
+    assert submitted == []
+
+
+@pytest.mark.parametrize("algorithm", ["maml", "fomaml"])
+def test_meta_train_bitwise_equal_at_one_and_two_workers(monkeypatch, algorithm):
+    scenarios = small_scenarios(4)
+    cfg = quick_cfg(meta_batch_size=4)
+    evaluation._close_pool()
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("METALOC_THREADS", workers)
+        runs.append(meta.meta_train(algorithm, scenarios, cfg))
+    assert evaluation._pool is not None and evaluation._pool[0] == 2  # the 2-worker run used the pool
+    one, two = runs
+    assert one.keys() == two.keys()
+    for name in one:
+        assert np.array_equal(one[name].data, two[name].data), name
+
+
+def exit_in_a_worker(params, target):
+    """toy_loss in the caller; a pool worker that evaluates it dies."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return toy_loss(params, target)
+
+
+def test_worker_dying_in_a_meta_batch_raises_and_the_next_batch_starts_a_new_pool(monkeypatch):
+    monkeypatch.setenv("METALOC_THREADS", "2")
+    batch = [toy_task(1.0), toy_task(-3.0)]
+    expected_grads, expected_losses = meta._meta_gradients(theta_at(0.5), batch, toy_cfg(), True, toy_loss)
+    broken = evaluation._pool
+    assert broken is not None
+    with pytest.raises(BrokenProcessPool):
+        meta._meta_gradients(theta_at(0.5), batch, toy_cfg(), True, exit_in_a_worker)
+    assert evaluation._pool is None
+    grads, losses = meta._meta_gradients(theta_at(0.5), batch, toy_cfg(), True, toy_loss)
+    assert evaluation._pool is not None and evaluation._pool is not broken
+    assert losses == expected_losses
+    assert [g.data.tobytes() for g in grads] == [e.data.tobytes() for e in expected_grads]
+
+
+@pytest.mark.parametrize("algorithm", ["maml", "fomaml"])
+def test_maml_and_fomaml_reject_an_importance_vector(algorithm):
+    scenarios = small_scenarios(3)
+    imp = meta.ImportanceVector(
+        values=np.zeros(3),
+        average_losses=np.zeros(3),
+        loss_matrix=np.zeros((3, 3)),
+        task_ids=[s.id for s in scenarios],
+    )
+    # the check runs before iteration 0: no meta-gradient is taken
+    with mock.patch.object(meta, "_meta_gradients", side_effect=AssertionError("iteration 0 ran")):
+        with pytest.raises(ValueError, match=f"{algorithm} takes no importance vector"):
+            meta.meta_train(algorithm, scenarios, quick_cfg(), importance=imp)
