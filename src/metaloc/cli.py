@@ -299,22 +299,20 @@ def cmd_bench(args) -> int:
     args.k = shots[0]
     cfg = _meta_config(args)
     try:
+        # with no counts, or no meta-learner, the sweep has no cells
+        meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
         plans = [
             evaluation.benchmark_plan(
                 scenarios, algorithms, shots, args.repeats, cfg, test_count=args.test_scenarios
             ),
             evaluation.matrix_plan(scenarios[: args.matrix_scenarios], cfg),
+            evaluation.sweep_plan(
+                scenarios, meta_algos, args.counts or [], args.repeats, cfg, test_count=args.test_scenarios
+            ),
         ]
-        if args.counts:  # sweep_plan checks them; with no meta-learner it has no cells
-            meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
-            plans.append(
-                evaluation.sweep_plan(
-                    scenarios, meta_algos, args.counts, args.repeats, cfg, test_count=args.test_scenarios
-                )
-            )
     except ValueError as e:
         raise UsageError(str(e)) from None
-    report, matrix, *sweep = evaluation.run_plans(*plans)
+    report, matrix, sweep = evaluation.run_plans(*plans)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -359,7 +357,7 @@ def cmd_bench(args) -> int:
         ["algorithm", "task_count", "mean_error_cm"],
         [
             (algo, count, f"{mean:.6f}")
-            for (algo, count), mean in sorted(sweep[0].items() if sweep else ())
+            for (algo, count), mean in sorted(sweep.items())
         ],
     )
     outputs.append(sweep_path)

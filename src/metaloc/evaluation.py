@@ -11,9 +11,13 @@ Every cell derives its randomness from (seed, repeat, scenario, shots)
 substreams, never from the algorithm, so all algorithms see identical
 partitions and identical k-shot support sets.
 
-A benchmark or sweep cell gets its errors from one function, _errors: it
-meta-trains a meta-learner and adapts it to each test task, or trains a
-baseline with meta.train_baseline and scores it without adaptation.
+The benchmark and the sweep share one cell, _benchmark_cell: a repeat's
+seeded partition and k-shot splits, then the errors of one algorithm on
+the test tasks, as EvalReport entries. A sweep cell is a benchmark cell
+at cfg.shots on a seeded subsample of the repeat's training scenarios.
+The errors come from one function, _errors: it meta-trains a
+meta-learner and adapts it to each test task, or trains a baseline with
+meta.train_baseline and scores it without adaptation.
 
 Each experiment is also a plan (benchmark_plan, matrix_plan,
 sweep_plan): its cells plus a function that assembles the result from
@@ -100,56 +104,37 @@ def cdf(errors, thresholds) -> np.ndarray:
 class EvalReport:
     """Per-(algorithm, shots) error populations plus summaries.
 
-    entries: records {algorithm, shots, repeat, scenario, errors}.
+    entries: records {algorithm, shots, repeat, scenario, errors}, as the
+    benchmark cells return them.
     """
 
     entries: list = field(default_factory=list)
 
-    def add(self, algorithm: str, shots: int, repeat: int, scenario: str, errors) -> None:
-        self.entries.append(
-            {
-                "algorithm": algorithm,
-                "shots": int(shots),
-                "repeat": int(repeat),
-                "scenario": scenario,
-                "errors": [float(e) for e in np.asarray(errors).ravel()],
-            }
-        )
-
-    def population(self, algorithm: str, shots: int) -> np.ndarray:
-        pooled = [
-            e
-            for entry in self.entries
-            if entry["algorithm"] == algorithm and entry["shots"] == shots
-            for e in entry["errors"]
-        ]
-        return np.asarray(pooled, dtype=np.float64)
-
-    def cells(self) -> list:
-        return sorted({(e["algorithm"], e["shots"]) for e in self.entries})
+    def populations(self) -> dict:
+        """{(algorithm, shots): pooled errors as float64}, in sorted key order."""
+        pooled: dict = {}
+        for e in self.entries:
+            pooled.setdefault((e["algorithm"], e["shots"]), []).extend(e["errors"])
+        return {key: np.asarray(pooled[key], dtype=np.float64) for key in sorted(pooled)}
 
     def summary(self) -> list:
-        rows = []
-        for algorithm, shots in self.cells():
-            pop = self.population(algorithm, shots)
-            rows.append(
-                {
-                    "algorithm": algorithm,
-                    "shots": shots,
-                    "count": int(pop.size),
-                    "mean_cm": float(pop.mean()),
-                    "median_cm": float(np.median(pop)),
-                    "q25_cm": float(np.percentile(pop, 25)),
-                    "q75_cm": float(np.percentile(pop, 75)),
-                }
-            )
-        return rows
+        return [
+            {
+                "algorithm": algorithm,
+                "shots": shots,
+                "count": int(pop.size),
+                "mean_cm": float(pop.mean()),
+                "median_cm": float(np.median(pop)),
+                "q25_cm": float(np.percentile(pop, 25)),
+                "q75_cm": float(np.percentile(pop, 75)),
+            }
+            for (algorithm, shots), pop in self.populations().items()
+        ]
 
     def cdf_table(self) -> list:
         """CDF rows per cell at DEFAULT_THRESHOLDS_CM, the last forced out to fraction 1.0."""
         rows = []
-        for algorithm, shots in self.cells():
-            pop = self.population(algorithm, shots)
+        for (algorithm, shots), pop in self.populations().items():
             ts = list(DEFAULT_THRESHOLDS_CM)
             top = float(np.floor(pop.max()) + 1.0)
             if ts[-1] <= pop.max():
@@ -329,19 +314,23 @@ def cross_scenario_matrix(scenarios: Sequence[Scenario], cfg: MetaConfig) -> np.
 
 
 def _benchmark_cell(args):
-    """One (repeat, algorithm, shots) cell; returns report entries."""
-    scenarios, algorithm, shots, repeat, cfg, test_count = args
-    results = _errors(algorithm, *_repeat_split(scenarios, cfg, repeat, shots, test_count))
-    return [(algorithm, shots, repeat, sid, errs) for sid, errs in results]
+    """One (repeat, algorithm, shots, count) cell of the benchmark or the
+    sweep; returns its EvalReport entries, one per test scenario.
 
-
-def _report_from(groups) -> EvalReport:
-    """The EvalReport of benchmark cell outputs, in cell order."""
-    report = EvalReport()
-    for group in groups:
-        for entry in group:
-            report.add(*entry)
-    return report
+    count None trains on every training scenario of the repeat; an integer
+    trains on the first `count` of them in a seeded order that every
+    algorithm of the repeat shares: a sweep cell is a benchmark cell on a
+    training subsample.
+    """
+    scenarios, algorithm, shots, repeat, cfg, test_count, count = args
+    train, test_tasks, run_cfg = _repeat_split(scenarios, cfg, repeat, shots, test_count)
+    if count is not None:
+        order = substream(run_cfg.seed, "subsample", count).permutation(len(train))
+        train = [train[i] for i in order[:count]]
+    return [
+        {"algorithm": algorithm, "shots": shots, "repeat": repeat, "scenario": sid, "errors": errs.tolist()}
+        for sid, errs in _errors(algorithm, train, test_tasks, run_cfg)
+    ]
 
 
 def _train_count(scenarios, test_count) -> int:
@@ -390,12 +379,12 @@ def benchmark_plan(scenarios, algorithms, shot_counts, repeats, cfg, test_count=
             f"got {train_count} ({len(scenarios)} scenarios, {test_count} for testing)"
         )
     jobs = [
-        (_benchmark_cell, (scenarios, algorithm, shots, repeat, cfg, test_count))
+        (_benchmark_cell, (scenarios, algorithm, int(shots), repeat, cfg, test_count, None))
         for repeat in range(repeats)
         for algorithm in algorithms
         for shots in shot_counts
     ]
-    return jobs, _report_from
+    return jobs, lambda groups: EvalReport([e for g in groups for e in g])
 
 
 def benchmark(
@@ -418,17 +407,14 @@ def benchmark(
 # experiment 3: error over the number of training tasks
 
 
-def _sweep_cell(args):
-    scenarios, algorithm, count, repeat, cfg, test_count = args
-    train, test_tasks, run_cfg = _repeat_split(scenarios, cfg, repeat, cfg.shots, test_count)
-    # the first `count` training scenarios in a seeded order shared by every algorithm
-    order = substream(run_cfg.seed, "subsample", count).permutation(len(train))
-    results = _errors(algorithm, [train[i] for i in order[:count]], test_tasks, run_cfg)
-    return algorithm, count, repeat, np.concatenate([errs for _, errs in results])
+# no body of its own: perfbench/tracer.py and tests/test_tracer_bindings.py bind this name
+_sweep_cell = _benchmark_cell
 
 
 def sweep_plan(scenarios, algorithms, counts, repeats, cfg, test_count=5):
-    """task_count_sweep as a plan for run_plans. Its checks:
+    """task_count_sweep as a plan for run_plans: each cell is a benchmark
+    cell at cfg.shots on a seeded subsample of `count` training scenarios.
+    Its checks:
 
     - no algorithm and no count is listed twice;
     - every algorithm is a meta-learner;
@@ -455,16 +441,16 @@ def sweep_plan(scenarios, algorithms, counts, repeats, cfg, test_count=5):
             f"tb-maml needs task counts of at least 2 for its importance vector, got {low}"
         )
     jobs = [
-        (_sweep_cell, (scenarios, algorithm, int(count), repeat, cfg, test_count))
+        (_benchmark_cell, (scenarios, algorithm, cfg.shots, repeat, cfg, test_count, int(count)))
         for repeat in range(repeats)
         for algorithm in algorithms
         for count in counts
     ]
 
-    def assemble(outputs) -> dict:
+    def assemble(groups) -> dict:
         pooled: dict = {}
-        for algorithm, count, repeat, errors in outputs:
-            pooled.setdefault((algorithm, count), []).extend(float(e) for e in errors)
+        for (_, (_, algorithm, *_, count)), group in zip(jobs, groups):
+            pooled.setdefault((algorithm, count), []).extend(e for entry in group for e in entry["errors"])
         return {key: float(np.mean(errors)) for key, errors in pooled.items()}
 
     return jobs, assemble

@@ -83,21 +83,27 @@ def test_cdf_rejects_empty():
 # report
 
 
+def entry(algorithm, shots, repeat, scenario, errors):
+    return {"algorithm": algorithm, "shots": shots, "repeat": repeat, "scenario": scenario, "errors": errors}
+
+
 def test_report_populations_and_summary():
-    report = EvalReport()
-    report.add("maml", 5, 0, "s0", [10.0, 20.0])
-    report.add("maml", 5, 1, "s1", [30.0])
-    report.add("conventional", 5, 0, "s0", [50.0])
-    assert report.cells() == [("conventional", 5), ("maml", 5)]
-    assert np.array_equal(report.population("maml", 5), [10.0, 20.0, 30.0])
+    report = EvalReport(
+        [
+            entry("maml", 5, 0, "s0", [10.0, 20.0]),
+            entry("maml", 5, 1, "s1", [30.0]),
+            entry("conventional", 5, 0, "s0", [50.0]),
+        ]
+    )
+    assert list(report.populations()) == [("conventional", 5), ("maml", 5)]
+    assert np.array_equal(report.populations()[("maml", 5)], [10.0, 20.0, 30.0])
     rows = {(r["algorithm"], r["shots"]): r for r in report.summary()}
     assert rows[("maml", 5)]["count"] == 3
     assert rows[("maml", 5)]["mean_cm"] == pytest.approx(20.0)
 
 
 def test_report_cdf_table_ends_at_one():
-    report = EvalReport()
-    report.add("maml", 5, 0, "s0", [10.0, 500.0])  # beyond the default grid
+    report = EvalReport([entry("maml", 5, 0, "s0", [10.0, 500.0])])  # beyond the default grid
     rows = [r for r in report.cdf_table() if r["algorithm"] == "maml"]
     fractions = [r["fraction"] for r in rows]
     assert fractions[-1] == 1.0
@@ -141,7 +147,7 @@ def test_benchmark_structure_and_fairness():
     report = benchmark(
         scenarios, ["conventional", "fomaml"], [1, 2], repeats=2, cfg=cfg, test_count=1
     )
-    assert set(report.cells()) == {
+    assert set(report.populations()) == {
         ("conventional", 1),
         ("conventional", 2),
         ("fomaml", 1),
@@ -163,7 +169,8 @@ def test_benchmark_repeats_scale_error_count():
     cfg = quick_cfg()
     r1 = benchmark(scenarios, ["conventional"], [1], repeats=1, cfg=cfg, test_count=1)
     r3 = benchmark(scenarios, ["conventional"], [1], repeats=3, cfg=cfg, test_count=1)
-    assert r3.population("conventional", 1).size == 3 * r1.population("conventional", 1).size
+    key = ("conventional", 1)
+    assert r3.populations()[key].size == 3 * r1.populations()[key].size
 
 
 def test_benchmark_rejects_unknown_algorithm():
@@ -174,7 +181,7 @@ def test_benchmark_rejects_unknown_algorithm():
 def test_cell_rejects_unknown_algorithm():
     # the plan's check aside, a cell never runs an unknown name as a baseline
     with pytest.raises(ValueError, match="unknown algorithm 'magic'"):
-        evaluation._benchmark_cell((small_scenarios(3), "magic", 1, 0, quick_cfg(), 1))
+        evaluation._benchmark_cell((small_scenarios(3), "magic", 1, 0, quick_cfg(), 1, None))
 
 
 @pytest.mark.parametrize(
@@ -198,7 +205,7 @@ def test_benchmark_maml_vs_tb_gamma_zero_identical_errors():
     cfg = quick_cfg(gamma=0.0, meta_iterations=3)
     ra = benchmark(scenarios, ["maml"], [1], repeats=1, cfg=cfg, test_count=1)
     rb = benchmark(scenarios, ["tb-maml"], [1], repeats=1, cfg=cfg, test_count=1)
-    assert np.array_equal(ra.population("maml", 1), rb.population("tb-maml", 1))
+    assert np.array_equal(ra.populations()[("maml", 1)], rb.populations()[("tb-maml", 1)])
 
 
 def test_results_independent_of_worker_count(monkeypatch):
