@@ -101,19 +101,11 @@ SAMPLE_PHASE_JITTER = 0.25  # radians, per sample per path
 NOISE_STD = 0.01  # additive, relative to the local envelope
 
 
-@dataclass
+@dataclass(eq=False)
 class Scenario:
     id: str
     grid: GridSpec
     samples: np.ndarray  # SAMPLE_DTYPE records
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Scenario)
-            and self.id == other.id
-            and self.grid == other.grid
-            and np.array_equal(self.samples, other.samples)
-        )
 
     def digest(self) -> str:
         """sha256 of the sample records; equal digests mean equal samples."""
@@ -316,13 +308,17 @@ def _require(doc: dict, key: str, where: str):
 def numeric_field(doc: dict, key: str, ndim: int, where: str) -> np.ndarray:
     """Field `key` of `doc` as a float64 array of `ndim` axes, JSON null read as NaN. Any
     other value, strings and booleans too, is a DataFormatError naming `where` and the field."""
+    value = _require(doc, key, where)
     try:
-        array = np.array(_require(doc, key, where))
+        array = np.array(value)
     except ValueError:  # ragged: a string array, rejected below
         array = np.array("ragged")
     if array.dtype == object and all(v is None or type(v) in (int, float) for v in array.flat):
         array = array.astype(np.float64)  # nulls, or integers beyond int64
-    if array.dtype.kind not in "iuf" or array.ndim != ndim:
+    # numpy reads [1.0, true] as [1., 1.]: scan the lists that hold the numbers, which
+    # the checks before the scan have found to be lists of the right shape
+    rows = value if ndim == 2 else [value]
+    if array.dtype.kind not in "iuf" or array.ndim != ndim or any(bool in map(type, row) for row in rows):
         kind = "a list of numbers" if ndim == 1 else "a list of rows of numbers"
         raise DataFormatError(f"{where}: field {key!r} is not {kind}")
     return array.astype(np.float64, copy=False)
@@ -331,6 +327,8 @@ def numeric_field(doc: dict, key: str, ndim: int, where: str) -> np.ndarray:
 def load_scenario(path) -> Scenario:
     doc, where = read_json(path), str(path)
     sid = _require(doc, "id", where)
+    if not isinstance(sid, str):
+        raise DataFormatError(f"{where}: field 'id' must be a string, got {sid!r}")
     grid_doc = _require(doc, "grid", where)
     if not isinstance(grid_doc, dict):
         raise DataFormatError(f"{where}: 'grid' must be an object")
@@ -340,8 +338,7 @@ def load_scenario(path) -> Scenario:
             kind = "an integer" if kinds == (int,) else "a number"
             raise DataFormatError(f"{where}: grid {key} must be {kind}, got {value!r}")
     grid = GridSpec(grid_doc["rows"], grid_doc["cols"], float(grid_doc["spacing_cm"]))
-    positions = grid.positions()
-    if not positions:
+    if grid.rows < 1 or grid.cols < 1:
         raise DataFormatError(f"{where}: grid {grid.rows}x{grid.cols} has no reference points")
 
     raw = _require(doc, "samples", where)
@@ -349,6 +346,13 @@ def load_scenario(path) -> Scenario:
         raise DataFormatError(f"{where}: 'samples' must be a list")
     if not raw:
         raise DataFormatError(f"{where}: 'samples' is empty")
+    # every reference point needs a sample: a grid larger than that is never built
+    if grid.rows * grid.cols > len(raw):
+        raise DataFormatError(
+            f"{where}: grid {grid.rows}x{grid.cols} has {grid.rows * grid.cols} reference points "
+            f"for {len(raw)} samples"
+        )
+    positions = grid.positions()
     samples = np.empty(len(raw), dtype=SAMPLE_DTYPE)
     expected = math.prod(AMP_SHAPE)
     for i, entry in enumerate(raw):
@@ -375,8 +379,9 @@ def load_scenario(path) -> Scenario:
         raise DataFormatError(f"{where}: samples[{ok.argmin()}]: amplitudes must be finite and non-negative")
     missing = sorted(set(range(len(positions))) - set(samples["rp"].tolist()))
     if missing:
-        raise DataFormatError(f"{where}: no samples for reference point(s) {missing}")
-    return Scenario(id=str(sid), grid=grid, samples=samples)
+        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
+        raise DataFormatError(f"{where}: no samples for reference point(s) {missing[:10]}{more}")
+    return Scenario(id=sid, grid=grid, samples=samples)
 
 
 def load_scenario_dir(directory) -> list:

@@ -322,10 +322,14 @@ WELL_FORMED = {
         (dict(WELL_FORMED, importance=[0.5, 0.0]), "field 'importance' has 2 entries for 3 task ids"),
         (dict(WELL_FORMED, average_losses=[1.0]), "field 'average_losses' has 1 entries for 3 task ids"),
         (dict(WELL_FORMED, loss_matrix=[[1.0]]), "field 'loss_matrix' has shape (1, 1) for 3 task ids"),
+        # numpy would read each of these booleans as a number
+        (dict(WELL_FORMED, importance=[0.5, True, 0.0]), "field 'importance' is not a list of numbers"),
+        (dict(WELL_FORMED, loss_matrix=[[0.0, True, 1.0], [2.0, 0.0, 2.0], [3.0, 3.0, 0.0]]),
+         "field 'loss_matrix' is not a list of rows of numbers"),
     ],
     ids=["only-task-ids", "json-list", "importance-string", "invalid-json", "importance-string-entry",
          "importance-null", "importance-out-of-range", "importance-short", "average-losses-short",
-         "loss-matrix-1x1"],
+         "loss-matrix-1x1", "importance-bool-entry", "loss-matrix-bool-entry"],
 )
 def test_train_tb_maml_malformed_importance_is_data_error(tmp_path, capsys, doc, reason):
     data = gen(tmp_path)
@@ -496,6 +500,35 @@ def test_bench_runs_every_cell_in_one_batch(tmp_path, monkeypatch):
     assert rc == 0
     # 2 benchmark cells (2 algorithms, 1 shot count), 2 matrix rows, 1 sweep cell
     assert batches == [5]
+
+
+@pytest.mark.parametrize(
+    "algos, flags, benchmark_cells",
+    [("conventional,fomaml", [], 2), ("conventional", ["--counts", "2"], 1)],
+    ids=["no-counts", "no-meta-learner"],
+)
+def test_bench_without_sweep_cells_writes_a_header_only_sweep(tmp_path, monkeypatch, algos, flags, benchmark_cells):
+    data = gen(tmp_path, n=4)
+    out = tmp_path / "bench"
+    submitted = []
+    run_cells = evaluation._run_cells
+
+    def recording(fn, cells, workers):
+        submitted.extend(cells)
+        return run_cells(fn, cells, workers)
+
+    monkeypatch.setattr(evaluation, "_run_cells", recording)
+    rc = main(
+        ["bench", "--data", str(data), "--algos", algos, "--shots", "1", "--repeats", "1",
+         "--out", str(out), "--test-scenarios", "1", "--matrix-scenarios", "2"] + flags + FAST_FLAGS
+    )
+    assert rc == 0
+    assert (out / "sweep.csv").read_text().splitlines() == ["algorithm,task_count,mean_error_cm"]
+    # the benchmark cells train on every training scenario (count None); the rest are matrix rows
+    bench = [cell for fn, cell in submitted if fn is evaluation._benchmark_cell]
+    assert len(bench) == benchmark_cells and all(cell[-1] is None for cell in bench)
+    assert [fn for fn, _ in submitted].count(evaluation._matrix_cell) == 2
+    assert len(submitted) == benchmark_cells + 2
 
 
 @pytest.mark.parametrize(

@@ -230,12 +230,14 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         (lambda doc: doc["layers"][1].update(values=[[0.0] * 5, [0.0] * 4]),
          "layer conv1.bias: field 'values' is not a list of numbers"),
         (lambda doc: doc["layers"][0]["values"].__setitem__(0, None), "layer conv1.weight: values must be finite"),
+        (lambda doc: doc["layers"][0]["values"].__setitem__(0, True),
+         "layer conv1.weight: field 'values' is not a list of numbers"),
         (lambda doc: doc["layers"].reverse(), r"layers\[0\] must be an object named 'conv1.weight'"),
         (lambda doc: doc["layers"].pop(), "'layers' must be a list of 14 layers"),
         (lambda doc: doc["layers"][2].pop("values"), "layer conv2.weight: missing field 'values'"),
         (lambda doc: doc["layers"][0]["values"].pop(), r"layer conv1.weight has 89 values for shape \[10, 3, 3\]"),
     ],
-    ids=["shape-mismatch", "shape-string", "ragged-values", "null-value",
+    ids=["shape-mismatch", "shape-string", "ragged-values", "null-value", "bool-value",
          "layer-order", "layer-missing", "values-missing", "values-short"],
 )
 def test_checkpoint_mismatch_rejected(tmp_path, edit, match):

@@ -18,6 +18,13 @@ def small_config(**kw):
     return ChannelConfig(**defaults)
 
 
+def assert_same_scenario(a, b):
+    """Equal ids and grids, and bitwise equal sample records."""
+    assert (a.id, a.grid) == (b.id, b.grid)
+    assert a.samples.dtype == b.samples.dtype
+    assert a.samples.tobytes() == b.samples.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # generation
 
@@ -25,7 +32,7 @@ def small_config(**kw):
 def test_generation_deterministic():
     a = tasks.generate_scenario(5, small_config())
     b = tasks.generate_scenario(5, small_config())
-    assert a == b
+    assert_same_scenario(a, b)
 
 
 def test_default_grid_labels():
@@ -214,8 +221,7 @@ def test_save_load_roundtrip(tmp_path):
     scenario = tasks.generate_scenario(12, small_config())
     path = tmp_path / "scenario_000.json"
     tasks.save_scenario(scenario, path)
-    loaded = tasks.load_scenario(path)
-    assert loaded == scenario  # deep equality incl. exact float round-trip
+    assert_same_scenario(tasks.load_scenario(path), scenario)  # exact float round-trip
 
 
 def test_roundtrip_numeric_fidelity(tmp_path):
@@ -275,8 +281,10 @@ def test_load_off_grid_label(tmp_path):
         # sample 0 stays at reference point 0's position
         (lambda ss: [dict(ss[0], rp=7)] + ss[1:], r"samples\[0\].*reference point 7"),
         (lambda ss: [x for x in ss if x["rp"] != 3], r"reference point\(s\) \[3\]"),
+        # every sample at reference point 0 of 12: the first 10 missing, and a count
+        (lambda ss: ss[:1] * 12, re.escape(f"reference point(s) {list(range(1, 11))} and 1 more") + "$"),
     ],
-    ids=["rp-out-of-range", "rp-at-another-position", "rp-missing"],
+    ids=["rp-out-of-range", "rp-at-another-position", "rp-missing", "rps-missing-capped"],
 )
 def test_load_rejects_misaligned_labels(tmp_path, edit, match):
     path = tmp_path / "scenario_000.json"
@@ -299,6 +307,9 @@ def test_load_rejects_misaligned_labels(tmp_path, edit, match):
         (lambda doc: doc["samples"][3]["amp"].__setitem__(0, "0.5"), r"samples\[3\]: field 'amp' is not a list of numbers"),
         (lambda doc: doc["samples"][3].update(amp=[True] * 90), r"samples\[3\]: field 'amp' is not a list of numbers"),
         (lambda doc: doc["samples"][3].update(pos_cm=["0", "0"]), r"samples\[3\]: field 'pos_cm' is not a list of numbers"),
+        # numpy would read each of these booleans as a number
+        (lambda doc: doc["samples"][3]["amp"].__setitem__(0, True), r"samples\[3\]: field 'amp' is not a list of numbers"),
+        (lambda doc: doc["samples"][3]["pos_cm"].__setitem__(0, False), r"samples\[3\]: field 'pos_cm' is not a list of numbers"),
         (lambda doc: doc["samples"][3]["amp"].__setitem__(7, None), r"samples\[3\]: amplitudes must be finite"),
         (lambda doc: doc["samples"][3]["amp"].__setitem__(7, -1.0), r"samples\[3\]: amplitudes must be .*non-negative"),
         (lambda doc: doc["samples"][3].update(rp=None), r"samples\[3\]: field 'rp'"),
@@ -311,12 +322,15 @@ def test_load_rejects_misaligned_labels(tmp_path, edit, match):
         (lambda doc: doc["grid"].update(rows=2.5), r"grid rows must be an integer, got 2.5"),
         (lambda doc: doc["grid"].update(cols="4"), r"grid cols must be an integer, got '4'"),
         (lambda doc: doc["grid"].update(spacing_cm=None), r"grid spacing_cm must be a number, got None"),
+        (lambda doc: doc.update(id=[1]), r"field 'id' must be a string, got \[1\]"),
+        (lambda doc: doc.update(id=None), r"field 'id' must be a string, got None"),
     ],
     ids=[
         "sample-int", "pos-int", "pos-object", "amp-null", "amp-string-entry",
-        "amp-number-string", "amp-bools", "pos-strings", "amp-null-entry", "amp-negative",
+        "amp-number-string", "amp-bools", "pos-strings", "amp-bool-entry", "pos-bool-entry",
+        "amp-null-entry", "amp-negative",
         "rp-null", "rp-fraction", "rp-float", "rp-bool", "rp-string",
-        "grid-int", "rows-fraction", "cols-string", "spacing-null",
+        "grid-int", "rows-fraction", "cols-string", "spacing-null", "id-list", "id-null",
     ],
 )
 def test_load_rejects_wrong_json_types(tmp_path, edit, match):
@@ -347,6 +361,18 @@ def test_load_rejects_an_empty_scenario(tmp_path, grid, match):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError, match=re.escape(f"{path}: {match}")):
         tasks.load_scenario(path)
+
+
+def test_load_rejects_a_grid_larger_than_its_samples_briefly(tmp_path):
+    path = tmp_path / "scenario_000.json"
+    tasks.save_scenario(tasks.generate_scenario(16, small_config()), path)
+    doc = json.loads(path.read_text())
+    doc["grid"].update(rows=300, cols=300)
+    doc["samples"] = doc["samples"][:1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError) as exc:
+        tasks.load_scenario(path)
+    assert str(exc.value) == f"{path}: grid 300x300 has 90000 reference points for 1 samples"
 
 
 def test_load_scenario_dir_sorted(tmp_path):
