@@ -18,15 +18,20 @@ propagated: each other gradient is dropped once its node's rule has run.
 The op family is exactly what the localization CNN and its MSE loss need:
 add, sub, scalar multiply, matmul, conv1d (stride 1, any kernel and
 padding), maxpool1d (non-overlapping, floor length), relu, flatten and mean
-squared error. conv1d is one node: its im2col rows, one slice copy per
-kernel tap with the padding left at zero, times the weight in one matmul.
-Its input and weight adjoints are private ops of their own; the three are
-bilinear, and each one's backward rule is written with the other two. The
-input adjoint sums an input position's kernel taps in tap order, 0 to K-1.
-maxpool1d picks each block's first maximum, as argmax does, with strict
-``>`` comparisons; the pick and the put that is its adjoint are each
-other's backward rule. Everything is float64; no broadcasting beyond bias
-addition is supported.
+squared error. A layer is one node, bias included: matmul and conv1d take
+an optional bias, add it in place to their product and return its adjoint
+from their own backward rule. conv1d's product is its im2col rows, one
+slice copy per kernel tap with the padding left at zero, times the weight
+in one matmul. Its input and weight adjoints are private ops of their own;
+the three are bilinear, and each one's backward rule is written with the
+other two. The input adjoint sums an input position's kernel taps in tap
+order, 0 to K-1. maxpool1d picks each block's first maximum, as argmax
+does, with strict ``>`` comparisons, and keeps one boolean mask per tap;
+the pick and the put that is its adjoint copy entries where a mask is
+True, and are each other's backward rule. A backward rule returns None
+for an untracked operand, such as relu's mask or the network's input,
+instead of an adjoint that grad would drop. Everything is float64; no
+broadcasting beyond bias addition is supported.
 """
 
 from __future__ import annotations
@@ -223,7 +228,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("sub", a, b)
 
     def vjp(g: Tensor):
-        return (_sum_to(g, a.shape), scale(_sum_to(g, b.shape), -1.0))
+        # an untracked operand, such as mse's target, needs no adjoint
+        return (
+            _sum_to(g, a.shape) if a.requires_grad else None,
+            scale(_sum_to(g, b.shape), -1.0) if b.requires_grad else None,
+        )
 
     return _make(a.data - b.data, "sub", (a, b), vjp)
 
@@ -232,7 +241,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
 
     def vjp(g: Tensor):
-        return (_sum_to(mul(g, b), a.shape), _sum_to(mul(g, a), b.shape))
+        # an untracked operand, such as relu's mask, needs no adjoint
+        return (
+            _sum_to(mul(g, b), a.shape) if a.requires_grad else None,
+            _sum_to(mul(g, a), b.shape) if b.requires_grad else None,
+        )
 
     return _make(a.data * b.data, "mul", (a, b), vjp)
 
@@ -246,14 +259,26 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, "scale", (a,), vjp)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """a @ b, plus bias (b's columns,) added to every row when given.
+
+    A biased matmul is one node, a dense layer's; its rule returns the bias
+    adjoint too.
+    """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
+    if bias is not None and bias.shape != (b.shape[1],):
+        raise ShapeError(f"matmul: bias shape {bias.shape} != ({b.shape[1]},)")
+    data = a.data @ b.data
+    if bias is not None:
+        data += bias.data
 
     def vjp(g: Tensor):
-        return (matmul(g, transpose(b)), matmul(transpose(a), g))
+        grads = (matmul(g, transpose(b)), matmul(transpose(a), g))
+        return grads if bias is None else grads + (_sum_to(g, bias.shape),)
 
-    return _make(a.data @ b.data, "matmul", (a, b), vjp)
+    parents = (a, b) if bias is None else (a, b, bias)
+    return _make(data, "matmul", parents, vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -347,23 +372,27 @@ def _rows(g: np.ndarray) -> np.ndarray:
     return g.transpose(0, 2, 1).reshape(-1, g.shape[1])
 
 
-def _conv(x: Tensor, weight: Tensor, padding: int) -> Tensor:
-    """conv1d without bias: one im2col matmul, (B, Cin, L) -> (B, Cout, Lout)."""
+def _conv(x: Tensor, weight: Tensor, padding: int, bias: Optional[Tensor] = None) -> Tensor:
+    """One im2col matmul, plus bias when given: (B, Cin, L) -> (B, Cout, Lout)."""
     batch, _, length = x.shape
     out_ch, _, kernel = weight.shape
     length_out = length + 2 * padding - kernel + 1
     cols = _im2col(x.data, kernel, padding, length_out)
     out = cols @ weight.data.reshape(out_ch, -1).T
+    if bias is not None:
+        out += bias.data
     data = out.reshape(batch, length_out, out_ch).transpose(0, 2, 1)
 
     def vjp(g: Tensor):
         # an untracked input, such as the network's input batch, needs no adjoint
-        return (
+        grads = (
             _conv_input_grad(g, weight, length, padding) if x.requires_grad else None,
             _conv_weight_grad(x, g, kernel, padding, cols) if weight.requires_grad else None,
         )
+        return grads if bias is None else grads + (reshape(_sum_to(g, (1, out_ch, 1)), (out_ch,)),)
 
-    return _make(data, "conv1d", (x, weight), vjp)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _make(data, "conv1d", parents, vjp)
 
 
 def _conv_input_grad(g: Tensor, weight: Tensor, length: int, padding: int) -> Tensor:
@@ -397,7 +426,11 @@ def _conv_weight_grad(
     data = (cols.T @ _rows(g.data)).T.reshape(out_ch, in_ch, kernel)
 
     def vjp(h: Tensor):
-        return (_conv_input_grad(g, h, x.shape[-1], padding), _conv(x, h, padding))
+        # an untracked input, such as the network's input batch, needs no adjoint
+        return (
+            _conv_input_grad(g, h, x.shape[-1], padding) if x.requires_grad else None,
+            _conv(x, h, padding),
+        )
 
     return _make(data, "conv1d_weight_grad", (x, g), vjp)
 
@@ -427,10 +460,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
         raise ShapeError(f"conv1d: padding {padding} < 0")
     if length + 2 * padding < kernel:
         raise ShapeError(f"conv1d: length {length} + 2 * padding {padding} < kernel {kernel}")
-    y = _conv(x, weight, padding)
-    if bias is not None:
-        y = add(y, reshape(bias, (1, weight.shape[0], 1)))
-    return y
+    return _conv(x, weight, padding, bias)
 
 
 def _blocks(data: np.ndarray, kernel: int) -> np.ndarray:
@@ -440,15 +470,16 @@ def _blocks(data: np.ndarray, kernel: int) -> np.ndarray:
 
 
 def _pick(x: Tensor, masks: list, data: Optional[np.ndarray] = None) -> Tensor:
-    """The entry of each pooling block whose 0/1 tap mask is 1: (B, C, L) -> (B, C, m).
+    """The entry of each pooling block whose tap mask is True: (B, C, L) -> (B, C, m).
 
-    masks[j] is 1 where tap j is picked; data, when known, is the result.
+    masks[j] is a boolean array, True where tap j is picked; data, when
+    known, is the result.
     """
     if data is None:
         blocks = _blocks(x.data, len(masks))
-        data = blocks[..., 0] * masks[0]
-        for j in range(1, len(masks)):
-            data += blocks[..., j] * masks[j]
+        data = np.empty(blocks.shape[:-1])
+        for j, mask in enumerate(masks):
+            np.copyto(data, blocks[..., j], where=mask)
 
     def vjp(g: Tensor):
         return (_put(g, masks, x.shape),)
@@ -461,7 +492,7 @@ def _put(g: Tensor, masks: list, shape: tuple) -> Tensor:
     data = np.zeros(shape)
     blocks = _blocks(data, len(masks))
     for j, mask in enumerate(masks):
-        np.multiply(g.data, mask, out=blocks[..., j])
+        np.copyto(blocks[..., j], g.data, where=mask)
 
     def vjp(h: Tensor):
         return (_pick(h, masks),)
@@ -487,10 +518,10 @@ def maxpool1d(x: Tensor, kernel: int = 2) -> Tensor:
         later.append(blocks[..., j] > value)
         value = np.maximum(value, blocks[..., j])
     # tap j is picked where it beat the running maximum and no later tap did
-    masks, rest = [None] * kernel, 1.0
+    masks, rest = [None] * kernel, True
     for j in range(kernel - 1, 0, -1):
-        masks[j] = later[j - 1] * rest
-        rest = rest - masks[j]
+        masks[j] = later[j - 1] & rest
+        rest = rest & ~masks[j]
     masks[0] = rest
     return _pick(x, masks, value)
 

@@ -3,11 +3,14 @@
 A 1-d CNN maps one normalized CSI amplitude sample (3 antennas x 30
 subcarriers) to a 2-d position estimate in centimeters:
 
-    conv(3->10, k3, p1) + relu -> pool2 -> conv(10->15, k3, p1) + relu
-    -> pool2 -> flatten(105) -> 128 -> 64 -> 32 -> 8 (relu each) -> 2
+    conv(3->10, k3, p1) -> pool2 -> relu -> conv(10->15, k3, p1) -> pool2
+    -> relu -> flatten(105) -> 128 -> 64 -> 32 -> 8 (relu each) -> 2
 
 The final layer is linear (regression head). Loss is mean squared error
-over both coordinates, in cm^2.
+over both coordinates, in cm^2. Each conv and dense layer, bias included,
+is one graph node. Each conv layer pools before its relu: relu and max
+commute exactly, so this is the conv -> relu -> pool network of the paper,
+with the same values and gradients, on half the relu entries.
 
 A model's parameters are a plain dict of name -> Tensor. Its order is the
 order of every gradient list and every update: the model's own dicts
@@ -27,7 +30,6 @@ from .autodiff import (
     NumericError,
     ShapeError,
     Tensor,
-    add,
     conv1d,
     flatten,
     matmul,
@@ -113,14 +115,15 @@ def predict(params: dict, x) -> Tensor:
             f"predict: batch shape {arr.shape}, expected (n,) + {INPUT_SHAPE}"
         )
 
-    h = relu(conv1d(arr, params["conv1.weight"], params["conv1.bias"], padding=1))
-    h = maxpool1d(h, 2)  # (B, 10, 15)
-    h = relu(conv1d(h, params["conv2.weight"], params["conv2.bias"], padding=1))
-    h = maxpool1d(h, 2)  # (B, 15, 7)
+    # pool before relu: the same values and gradients as relu before pool
+    h = conv1d(arr, params["conv1.weight"], params["conv1.bias"], padding=1)
+    h = relu(maxpool1d(h, 2))  # (B, 10, 15)
+    h = conv1d(h, params["conv2.weight"], params["conv2.bias"], padding=1)
+    h = relu(maxpool1d(h, 2))  # (B, 15, 7)
     h = flatten(h)  # (B, 105)
     for layer in ("dense1", "dense2", "dense3", "dense4"):
-        h = relu(add(matmul(h, params[f"{layer}.weight"]), params[f"{layer}.bias"]))
-    return add(matmul(h, params["dense5.weight"]), params["dense5.bias"])
+        h = relu(matmul(h, params[f"{layer}.weight"], params[f"{layer}.bias"]))
+    return matmul(h, params["dense5.weight"], params["dense5.bias"])
 
 
 def loss(params: dict, batch) -> Tensor:

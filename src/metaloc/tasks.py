@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -313,8 +314,10 @@ def numeric_field(doc: dict, key: str, ndim: int, where: str) -> np.ndarray:
         array = np.array(value)
     except ValueError:  # ragged: a string array, rejected below
         array = np.array("ragged")
-    if array.dtype == object and all(v is None or type(v) in (int, float) for v in array.flat):
-        array = array.astype(np.float64)  # nulls, or integers beyond int64
+    if array.dtype == object and all(
+        v is None or type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max) for v in array.flat
+    ):
+        array = array.astype(np.float64)  # nulls, or integers beyond int64 but within float64
     # numpy reads [1.0, true] as [1., 1.]: scan the lists that hold the numbers, which
     # the checks before the scan have found to be lists of the right shape
     rows = value if ndim == 2 else [value]
@@ -337,7 +340,10 @@ def load_scenario(path) -> Scenario:
         if type(value) not in kinds:  # not a bool, and not a row count of 2.5
             kind = "an integer" if kinds == (int,) else "a number"
             raise DataFormatError(f"{where}: grid {key} must be {kind}, got {value!r}")
-    grid = GridSpec(grid_doc["rows"], grid_doc["cols"], float(grid_doc["spacing_cm"]))
+    spacing = grid_doc["spacing_cm"]
+    if not 0 < spacing <= sys.float_info.max:  # NaN, Infinity and 10**400 too
+        raise DataFormatError(f"{where}: grid spacing_cm must be finite and above 0, got {spacing!r}")
+    grid = GridSpec(grid_doc["rows"], grid_doc["cols"], float(spacing))
     if grid.rows < 1 or grid.cols < 1:
         raise DataFormatError(f"{where}: grid {grid.rows}x{grid.cols} has no reference points")
 
@@ -353,6 +359,8 @@ def load_scenario(path) -> Scenario:
             f"for {len(raw)} samples"
         )
     positions = grid.positions()
+    if not all(map(math.isfinite, positions[-1])):  # the point farthest from the origin
+        raise DataFormatError(f"{where}: grid {grid.rows}x{grid.cols} at spacing {spacing!r} cm is beyond float64")
     samples = np.empty(len(raw), dtype=SAMPLE_DTYPE)
     expected = math.prod(AMP_SHAPE)
     for i, entry in enumerate(raw):

@@ -93,6 +93,8 @@ def test_flatten_shape():
 def test_shape_errors_name_op_and_extents():
     with pytest.raises(ad.ShapeError, match="matmul"):
         ad.matmul(ad.Tensor(rand((2, 3))), ad.Tensor(rand((2, 3))))
+    with pytest.raises(ad.ShapeError, match=r"matmul: bias shape \(2, 4\) != \(4,\)"):
+        ad.matmul(ad.Tensor(rand((2, 3))), ad.Tensor(rand((3, 4))), ad.Tensor(rand((2, 4))))
     with pytest.raises(ad.ShapeError, match="conv1d"):
         ad.conv1d(ad.Tensor(rand((1, 4, 30))), ad.Tensor(rand((10, 3, 3))))
     with pytest.raises(ad.ShapeError, match=r"conv1d: length 2 \+ 2 \* padding 1 < kernel 5"):
@@ -334,6 +336,91 @@ def test_conv1d_weight_gradient_matches_window_oracle(length, kernel, padding):
     assert np.array_equal(gb.data, cot.sum(axis=0).sum(axis=-1))
 
 
+def quadratic_form_gradients(op, inputs, seed):
+    """y = op(inputs), the gradients of <proj, y*y> in every input, and the
+    gradients of <those gradients, directions>, all as arrays."""
+    rng = np.random.default_rng(seed)
+    ts = [ad.Tensor(a, requires_grad=True) for a in inputs]
+    y = op(*ts)
+    proj = ad.Tensor(rng.uniform(-1, 1, y.shape))
+    grads = ad.grad(ad.sum_all(ad.mul(proj, ad.mul(y, y))), ts, create_graph=True)
+    total = ad.sum_all(ad.mul(grads[0], ad.Tensor(rng.uniform(-1, 1, inputs[0].shape))))
+    for g, a in zip(grads[1:], inputs[1:]):
+        total = ad.add(total, ad.sum_all(ad.mul(g, ad.Tensor(rng.uniform(-1, 1, a.shape)))))
+    return [y.data] + [g.data for g in grads] + [g.data for g in ad.grad(total, ts)]
+
+
+@pytest.mark.parametrize(
+    "shapes, fused, composed",
+    [
+        ([(5, 4), (4, 3), (3,)], ad.matmul, lambda a, w, b: ad.add(ad.matmul(a, w), b)),
+        (
+            [(2, 3, 7), (4, 3, 3), (4,)],
+            lambda x, w, b: ad.conv1d(x, w, b, padding=1),
+            lambda x, w, b: ad.add(ad.conv1d(x, w, padding=1), ad.reshape(b, (1, 4, 1))),
+        ),
+    ],
+    ids=["matmul", "conv1d"],
+)
+def test_biased_layer_is_one_node_and_bitwise_the_bias_add(shapes, fused, composed):
+    # the bias added inside the layer's node: the same values and first- and
+    # second-order gradients as the layer followed by an add node
+    rng = np.random.default_rng(61)
+    inputs = [rng.uniform(-1, 1, shape) for shape in shapes]
+    y = fused(*[ad.Tensor(a, requires_grad=True) for a in inputs])
+    assert [t.node.op for t in ad.toposort(y) if t.node is not None] == [y.node.op]
+    got, expected = quadratic_form_gradients(fused, inputs, 7), quadratic_form_gradients(composed, inputs, 7)
+    assert len(got) == len(expected) == 7
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kernel", [2, 3])
+def test_relu_and_maxpool1d_commute_with_their_gradients(kernel):
+    # integers give exact ties, zeros and all-negative blocks, and blocks
+    # whose maximum 0 follows a negative entry
+    rng = np.random.default_rng(59)
+    x0 = rng.integers(-2, 3, (3, 4, 7)).astype(float)
+    x0[0, :2] = -1.0
+    x0[1, 0] = [-1.0, 0.0, -2.0, 0.0, 0.0, -1.0, 0.0]
+    m = 7 // kernel
+    blocks = x0[..., : m * kernel].reshape(3, 4, m, kernel)
+    assert (np.sum(blocks == blocks.max(axis=-1, keepdims=True), axis=-1) > 1).sum() > 8
+    assert (blocks.max(axis=-1) < 0).sum() >= 2 * m
+    cot = rng.uniform(-1, 1, (3, 4, m))
+    v = rng.uniform(-1, 1, x0.shape)
+
+    def results(f):
+        x = ad.Tensor(x0, requires_grad=True)
+        c = ad.Tensor(cot, requires_grad=True)
+        y = f(x)
+        (first,) = ad.grad(ad.sum_all(ad.mul(y, c)), [x])
+        (gx,) = ad.grad(ad.sum_all(ad.mul(y, c)), [x], create_graph=True)
+        (second,) = ad.grad(ad.sum_all(ad.mul(gx, ad.Tensor(v))), [c])
+        return y.data, first.data, gx.data, second.data
+
+    relu_first = results(lambda x: ad.maxpool1d(ad.relu(x), kernel))
+    pool_first = results(lambda x: ad.relu(ad.maxpool1d(x, kernel)))
+    for a, b in zip(relu_first, pool_first):
+        assert np.array_equal(a, b)
+
+
+def test_untracked_operands_get_no_adjoint():
+    # grad would drop these adjoints, so the rules do not compute them
+    tracked = ad.Tensor(rand((2, 3)), requires_grad=True)
+    const = ad.Tensor(rand((2, 3), 1))
+    g = ad.Tensor(np.ones((2, 3)))
+    for op in (ad.mul, ad.sub):
+        assert op(tracked, const).node.vjp(g)[1] is None
+        assert op(const, tracked).node.vjp(g)[0] is None
+    x = ad.Tensor(rand((2, 3, 5)))
+    w = ad.Tensor(rand((4, 3, 3), 2), requires_grad=True)
+    y = ad.conv1d(x, w, padding=1)
+    (_, gw) = y.node.vjp(ad.Tensor(rand(y.shape, 3), requires_grad=True))
+    gx, gg = gw.node.vjp(ad.Tensor(rand(w.shape, 4)))
+    assert gx is None and gg.shape == y.shape
+
+
 def test_linearity_of_gradients():
     rng = np.random.default_rng(13)
     x0 = rng.uniform(-1, 1, (4, 4))
@@ -452,6 +539,7 @@ OP_CASES = {
     "mul": (lambda d: [(d["r"], d["c"])] * 2, ad.mul),
     "scale": (lambda d: [(d["r"], d["c"])], lambda a: ad.scale(a, 1.7)),
     "matmul": (lambda d: [(d["r"], d["k"]), (d["k"], d["c"])], ad.matmul),
+    "matmul_bias": (lambda d: [(d["r"], d["k"]), (d["k"], d["c"]), (d["c"],)], ad.matmul),
     "transpose": (lambda d: [(d["r"], d["c"])], ad.transpose),
     "reshape": (lambda d: [(d["r"], d["c"])], lambda a: ad.reshape(a, a.shape[::-1])),
     "relu": (lambda d: [(d["r"], d["c"])], ad.relu),

@@ -564,6 +564,22 @@ def test_meta_gradient_peak_memory_is_one_task(second_order):
     assert peak_bytes(batch) / peak_bytes([task]) <= 1.1
 
 
+def test_second_order_task_gradient_peak_memory():
+    # one node per layer, bias included, and pooling before relu keep a
+    # default second-order task near 25 MB; separate bias adds and relu
+    # before each pool take it to 35.0 MB
+    cfg = MetaConfig()
+    task = meta.build_task_data(tasks.generate_scenario(2305), cfg.shots, 0)
+    arrays = {name: t.data for name, t in model.init_params(0).items()}
+    tracemalloc.start()
+    try:
+        meta._task_gradient((arrays, task, cfg, True, meta._default_loss))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+
+
 # ---------------------------------------------------------------------------
 # a task repeated in a meta-batch is adapted once
 

@@ -124,6 +124,32 @@ def test_forward_matches_plain_loop_reimplementation():
     assert np.abs(got - expected).max() <= 1e-10
 
 
+def conv_relu_pool_predict(params, x):
+    """The network as conv -> relu -> pool layers with separate bias adds, from public ops."""
+    h = ad.Tensor(x)
+    for layer in ("conv1", "conv2"):
+        bias = ad.reshape(params[f"{layer}.bias"], (1, -1, 1))
+        h = ad.maxpool1d(ad.relu(ad.add(ad.conv1d(h, params[f"{layer}.weight"], padding=1), bias)), 2)
+    h = ad.flatten(h)
+    for layer in ("dense1", "dense2", "dense3", "dense4"):
+        h = ad.relu(ad.add(ad.matmul(h, params[f"{layer}.weight"]), params[f"{layer}.bias"]))
+    return ad.add(ad.matmul(h, params["dense5.weight"]), params["dense5.bias"])
+
+
+def test_predict_is_bitwise_the_conv_relu_pool_composition():
+    # pooling before relu and the fused biases change neither the outputs
+    # nor the loss gradients, on trained-like weights with nonzero biases
+    rng = np.random.default_rng(17)
+    params = {n: ad.Tensor(rng.uniform(-0.5, 0.5, t.shape), requires_grad=True) for n, t in model.init_params(5).items()}
+    x, y = rng.random((40, 3, 30)), rng.uniform(0, 300, (40, 2))
+    got, expected = model.predict(params, x), conv_relu_pool_predict(params, x)
+    assert np.array_equal(got.data, expected.data)
+    got_grads = ad.grad(ad.mse(got, ad.Tensor(y)), params.values())
+    expected_grads = ad.grad(ad.mse(expected, ad.Tensor(y)), params.values())
+    for g, e in zip(got_grads, expected_grads):
+        assert np.array_equal(g.data, e.data)
+
+
 def test_loss_examples():
     params = model.init_params(5)
     x = np.random.default_rng(2).random((1, 3, 30))

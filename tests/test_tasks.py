@@ -310,6 +310,8 @@ def test_load_rejects_misaligned_labels(tmp_path, edit, match):
         # numpy would read each of these booleans as a number
         (lambda doc: doc["samples"][3]["amp"].__setitem__(0, True), r"samples\[3\]: field 'amp' is not a list of numbers"),
         (lambda doc: doc["samples"][3]["pos_cm"].__setitem__(0, False), r"samples\[3\]: field 'pos_cm' is not a list of numbers"),
+        # beyond float64: numpy's conversion would raise OverflowError
+        (lambda doc: doc["samples"][3]["amp"].__setitem__(0, 10**400), r"samples\[3\]: field 'amp' is not a list of numbers"),
         (lambda doc: doc["samples"][3]["amp"].__setitem__(7, None), r"samples\[3\]: amplitudes must be finite"),
         (lambda doc: doc["samples"][3]["amp"].__setitem__(7, -1.0), r"samples\[3\]: amplitudes must be .*non-negative"),
         (lambda doc: doc["samples"][3].update(rp=None), r"samples\[3\]: field 'rp'"),
@@ -328,7 +330,7 @@ def test_load_rejects_misaligned_labels(tmp_path, edit, match):
     ids=[
         "sample-int", "pos-int", "pos-object", "amp-null", "amp-string-entry",
         "amp-number-string", "amp-bools", "pos-strings", "amp-bool-entry", "pos-bool-entry",
-        "amp-null-entry", "amp-negative",
+        "amp-huge-int", "amp-null-entry", "amp-negative",
         "rp-null", "rp-fraction", "rp-float", "rp-bool", "rp-string",
         "grid-int", "rows-fraction", "cols-string", "spacing-null", "id-list", "id-null",
     ],
@@ -373,6 +375,34 @@ def test_load_rejects_a_grid_larger_than_its_samples_briefly(tmp_path):
     with pytest.raises(DataFormatError) as exc:
         tasks.load_scenario(path)
     assert str(exc.value) == f"{path}: grid 300x300 has 90000 reference points for 1 samples"
+
+
+@pytest.mark.parametrize("spacing", [0, -60.0, math.nan, math.inf, 10**400], ids=["zero", "negative", "nan", "inf", "huge"])
+def test_load_rejects_a_degenerate_spacing(tmp_path, spacing):
+    path = tmp_path / "scenario_000.json"
+    tasks.save_scenario(tasks.generate_scenario(16, small_config()), path)
+    doc = json.loads(path.read_text())
+    old = doc["grid"]["spacing_cm"]
+    doc["grid"]["spacing_cm"] = spacing
+    if spacing in (0, -60.0):  # the positions move with it: only the spacing is wrong
+        for sample in doc["samples"]:
+            sample["pos_cm"] = [p / old * spacing for p in sample["pos_cm"]]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: grid spacing_cm must be finite and above 0")):
+        tasks.load_scenario(path)
+
+
+def test_load_rejects_a_grid_beyond_float64(tmp_path):
+    # positions at 0, 1e308 and inf, which JSON writes and reads as Infinity
+    path = tmp_path / "scenario_000.json"
+    tasks.save_scenario(tasks.generate_scenario(16, small_config()), path)
+    doc = json.loads(path.read_text())
+    doc["grid"]["spacing_cm"] = 1e308
+    for sample in doc["samples"]:
+        sample["pos_cm"] = [p / 60.0 * 1e308 for p in sample["pos_cm"]]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: grid 3x4 at spacing 1e+308 cm is beyond float64")):
+        tasks.load_scenario(path)
 
 
 def test_load_scenario_dir_sorted(tmp_path):
