@@ -199,10 +199,19 @@ def _map_cells(fn, cells, workers: int):
 
 def _pooled(fn, cells):
     """Submit every cell to the pool and yield once, then yield the
-    results in order; a BrokenProcessPool from either step drops the pool."""
+    results in order; a BrokenProcessPool from either step drops the pool.
+
+    A no-op call follows the cells. The executor's queue feeder thread
+    holds the last item it pickled until it pickles another, so without
+    it this process would keep the batch's last pickled cell until the
+    next batch. The no-op is pickled as soon as the call queue (workers
+    + 1 items) has room, which is at once for a batch of up to `workers`
+    cells.
+    """
     global _pool
     try:
         results = _pool[1].map(fn, cells)
+        _pool[1].submit(int)  # int() is the no-op
         yield
         yield from results
     except BrokenProcessPool:

@@ -24,6 +24,7 @@ loss means high importance).
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -270,6 +271,12 @@ def _task_gradient(cell):
     return [g.data for g in grad(q, (params if second_order else adapted).values())], q.item()
 
 
+def _task_gradients(cells) -> list:
+    """_task_gradient of each cell in order, one task's graph at a time:
+    one pool cell of a meta-batch."""
+    return [_task_gradient(cell) for cell in cells]
+
+
 def _meta_gradients(
     params: dict,
     tasks: Sequence[TaskData],
@@ -283,7 +290,7 @@ def _meta_gradients(
     Second order differentiates through the adaptation; first order takes
     the query gradients at the adapted weights (which line up with the
     initialization tensor-for-tensor). Each distinct task is one
-    _task_gradient cell, and the gradients are summed in batch order.
+    _task_gradient call, and the gradients are summed in batch order.
 
     A task that appears more than once (the same TaskData object; tasks are
     keyed by identity, never compared with ==) is adapted and differentiated
@@ -293,10 +300,13 @@ def _meta_gradients(
 
     With 2 or more distinct tasks, all but the first go to the pool
     (evaluation._map_cells), and the caller adapts the first meanwhile; a
-    batch of one distinct task never touches the pool. Every process
-    computes at one BLAS thread, so where a task runs changes no bit. The
-    caller builds one graph, its first task's, which dies once its
-    gradient is taken, and holds each distinct task's gradient arrays
+    batch of one distinct task never touches the pool. The pool gets them
+    as at most worker_count() cells, each a run of consecutive tasks that
+    one worker adapts in order (_task_gradients), so the batch and the
+    no-op that follows it fit the executor's call queue at once. Every
+    process computes at one BLAS thread, so where a task runs changes no
+    bit. The caller builds one graph, its first task's, which dies once
+    its gradient is taken, and holds each distinct task's gradient arrays
     until the sum is done. In a pool worker, or at one worker, the other
     tasks run inline after the first, one graph at a time.
     """
@@ -305,9 +315,12 @@ def _meta_gradients(
     distinct = list({id(task): task for task in tasks}.values())
     arrays = {name: p.data for name, p in params.items()}
     cells = [(arrays, task, cfg, second_order, loss_fn) for task in distinct]
-    others = evaluation._map_cells(_task_gradient, cells[1:], evaluation.worker_count()) if cells[1:] else ()
+    rest, workers = cells[1:], evaluation.worker_count()
+    size = max(1, -(-len(rest) // workers))  # ceil, and 1 for no rest
+    runs = [rest[i : i + size] for i in range(0, len(rest), size)]
+    others = evaluation._map_cells(_task_gradients, runs, workers) if runs else ()
     first = _task_gradient(cells[0])
-    results = {id(task): result for task, result in zip(distinct, [first, *others])}
+    results = {id(task): result for task, result in zip(distinct, [first, *itertools.chain(*others)])}
     grads, query_losses = None, []
     for task in tasks:
         g, loss_value = results[id(task)]

@@ -4,6 +4,8 @@ import glob
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -375,6 +377,27 @@ def test_pool_restarts_after_a_worker_dies():
     with pytest.raises(BrokenProcessPool):
         evaluation._run_cells(_exit_worker, [0], 2)
     assert evaluation._run_cells(_blas_threads, [0, 1], 2) == [(0, ONE_THREAD), (1, ONE_THREAD)]
+
+
+def _length(cell):
+    return len(cell)
+
+
+def test_pool_keeps_no_pickled_cell_after_a_batch():
+    # the executor's queue feeder holds the last item it pickles; the no-op
+    # after each batch is that item, not the batch's last cell (4 MB here)
+    evaluation._run_cells(_length, [b"", b""], 2)  # the pool starts untraced
+    cells = [bytes(4_000_000), bytes(4_000_000)]
+    tracemalloc.start()
+    try:
+        assert evaluation._run_cells(_length, cells, 2) == [4_000_000, 4_000_000]
+        deadline = time.monotonic() + 2
+        while tracemalloc.get_traced_memory()[0] > 1_000_000 and time.monotonic() < deadline:
+            time.sleep(0.01)  # the feeder pickles the no-op in its own thread
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -658,7 +658,7 @@ def test_meta_batch_submits_every_distinct_task_but_the_first(monkeypatch):
     submitted = []
 
     def recording(fn, cells, workers):
-        submitted.append([cell[1] for cell in cells])
+        submitted.append([cell[1] for run in cells for cell in run])
         return map(fn, cells)
 
     monkeypatch.setattr(evaluation, "_map_cells", recording)
@@ -667,6 +667,29 @@ def test_meta_batch_submits_every_distinct_task_but_the_first(monkeypatch):
     submitted.clear()
     meta._meta_gradients(theta_at(0.5), [a, a, a, a], toy_cfg(), True, toy_loss)
     assert submitted == []
+
+
+@pytest.mark.parametrize(
+    "workers, runs", [("2", [[1, 2, 3], [4, 5]]), ("3", [[1, 2], [3, 4], [5]]), ("8", [[1], [2], [3], [4], [5]])],
+)
+def test_meta_batch_goes_to_the_pool_as_at_most_one_run_per_worker(monkeypatch, workers, runs):
+    # runs of consecutive tasks, so the batch and the no-op after it fit the
+    # executor's call queue (workers + 1 items) at once; same gradients
+    toys = [toy_task(float(c)) for c in range(6)]
+    with inline():
+        expected = meta._meta_gradients(theta_at(0.5), toys, toy_cfg(), True, toy_loss)
+    submitted = []
+
+    def recording(fn, cells, count):
+        submitted.append([[cell[1].scenario_id for cell in run] for run in cells])
+        return map(fn, cells)
+
+    monkeypatch.setattr(evaluation, "_map_cells", recording)
+    monkeypatch.setenv("METALOC_THREADS", workers)
+    grads, losses = meta._meta_gradients(theta_at(0.5), toys, toy_cfg(), True, toy_loss)
+    assert submitted == [[[toys[i].scenario_id for i in run] for run in runs]]
+    assert losses == expected[1]
+    assert [g.data.tobytes() for g in grads] == [e.data.tobytes() for e in expected[0]]
 
 
 @pytest.mark.parametrize("algorithm", ["maml", "fomaml"])
