@@ -26,12 +26,22 @@ in one matmul. Its input and weight adjoints are private ops of their own;
 the three are bilinear, and each one's backward rule is written with the
 other two. The input adjoint sums an input position's kernel taps in tap
 order, 0 to K-1. maxpool1d picks each block's first maximum, as argmax
-does, with strict ``>`` comparisons, and keeps one boolean mask per tap;
-the pick and the put that is its adjoint copy entries where a mask is
-True, and are each other's backward rule. A backward rule returns None
-for an untracked operand, such as relu's mask or the network's input,
-instead of an adjoint that grad would drop. Everything is float64; no
-broadcasting beyond bias addition is supported.
+does, with strict ``>`` comparisons, and keeps one byte per block when a
+graph is recorded: the tap of that maximum. The pick and the put that is
+its adjoint read or write each block's tapped entry through one flat
+index, built when they run and dropped at once, and are each other's
+backward rule.
+
+Conv and pool arrays are channels-last in memory: conv1d returns a
+(B, C, L) view of (B, L, C) memory, and the conv input adjoint and the
+put allocate the same way, so conv's matmul rows are free reshapes of
+them. Element-wise ops and copies give the same bits in any layout; a
+reduction does not, so a bias adjoint's sum makes each partial sum
+C-contiguous before it reduces the next axis, and sums in the order a
+channel-first array would. A backward rule returns None for an untracked
+operand, such as relu's mask or the network's input, instead of an
+adjoint that grad would drop. Everything is float64; no broadcasting
+beyond bias addition is supported.
 """
 
 from __future__ import annotations
@@ -179,12 +189,14 @@ def _sum_to(x: Tensor, shape: tuple) -> Tensor:
     shape = tuple(shape)
     if x.shape == shape:
         return x
+    # each partial sum is made C-contiguous before the next axis is reduced,
+    # so a channels-last x sums in a channel-first x's order, to the bit
     data = x.data
     while data.ndim > len(shape):
-        data = data.sum(axis=0)
+        data = np.asarray(data.sum(axis=0), order="C")
     for axis, extent in enumerate(shape):
         if extent == 1 and data.shape[axis] != 1:
-            data = data.sum(axis=axis, keepdims=True)
+            data = np.asarray(data.sum(axis=axis, keepdims=True), order="C")
     if data.shape != shape:
         raise ShapeError(f"sum_to: cannot reduce {x.shape} to {shape}")
 
@@ -368,7 +380,8 @@ def _im2col(x: np.ndarray, kernel: int, padding: int, length_out: int) -> np.nda
 
 
 def _rows(g: np.ndarray) -> np.ndarray:
-    """(B, C, Lout) output-shaped array as (B*Lout, C) matmul rows."""
+    """(B, C, Lout) output-shaped array as (B*Lout, C) matmul rows; free for
+    channels-last memory, a copy otherwise."""
     return g.transpose(0, 2, 1).reshape(-1, g.shape[1])
 
 
@@ -399,16 +412,17 @@ def _conv_input_grad(g: Tensor, weight: Tensor, length: int, padding: int) -> Te
     """Adjoint of _conv in its input: one matmul, then the taps summed in order.
 
     Each input position adds its taps' window gradients onto zeros in tap
-    order, 0 to K-1.
+    order, 0 to K-1, in channels-last memory.
     """
     batch, out_ch, length_out = g.shape
     _, in_ch, kernel = weight.shape
     windows = (_rows(g.data) @ weight.data.reshape(out_ch, -1)).reshape(
         batch, length_out, in_ch, kernel
     )
-    data = np.zeros((batch, in_ch, length))
+    data = np.zeros((batch, length, in_ch))
     for j, out, inp in _tap_slices(length, kernel, padding, length_out):
-        data[:, :, inp] += windows[:, out, :, j].transpose(0, 2, 1)
+        data[:, inp] += windows[:, out, :, j]
+    data = data.transpose(0, 2, 1)
 
     def vjp(h: Tensor):
         return (_conv(h, weight, padding), _conv_weight_grad(h, g, kernel, padding))
@@ -463,41 +477,47 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
     return _conv(x, weight, padding, bias)
 
 
-def _blocks(data: np.ndarray, kernel: int) -> np.ndarray:
-    """(B, C, m, K) view of the m whole pooling blocks of (B, C, L) data."""
-    m = data.shape[-1] // kernel
-    return data[..., : m * kernel].reshape(data.shape[:-1] + (m, kernel))
+def _tap_index(tap: np.ndarray, kernel: int, length: int) -> np.ndarray:
+    """Flat index into (B, L, C) memory of each pooling block's tapped entry.
+
+    tap is (B, m, C): block i of row b and channel c starts at position
+    i*kernel and picks position i*kernel + tap.
+    """
+    batch, m, ch = tap.shape
+    index = (np.arange(batch)[:, None] * length + np.arange(m) * kernel)[:, :, None] + tap
+    index *= ch
+    index += np.arange(ch)
+    return index
 
 
-def _pick(x: Tensor, masks: list, data: Optional[np.ndarray] = None) -> Tensor:
-    """The entry of each pooling block whose tap mask is True: (B, C, L) -> (B, C, m).
+def _pick(x: Tensor, tap: np.ndarray, kernel: int, data: Optional[np.ndarray] = None) -> Tensor:
+    """Each pooling block's tapped entry: (B, C, L) -> (B, C, m).
 
-    masks[j] is a boolean array, True where tap j is picked; data, when
-    known, is the result.
+    tap is (B, m, C), as maxpool1d makes it; data, when known, is the
+    result. x is read as channels-last memory, so a channel-first x is
+    copied once.
     """
     if data is None:
-        blocks = _blocks(x.data, len(masks))
-        data = np.empty(blocks.shape[:-1])
-        for j, mask in enumerate(masks):
-            np.copyto(data, blocks[..., j], where=mask)
+        flat = x.data.transpose(0, 2, 1).reshape(-1)
+        data = flat[_tap_index(tap, kernel, x.shape[-1])].transpose(0, 2, 1)
 
     def vjp(g: Tensor):
-        return (_put(g, masks, x.shape),)
+        return (_put(g, tap, kernel, x.shape),)
 
     return _make(data, "pick", (x,), vjp)
 
 
-def _put(g: Tensor, masks: list, shape: tuple) -> Tensor:
-    """Adjoint of _pick: g at each block's picked entry, zero elsewhere, in `shape`."""
-    data = np.zeros(shape)
-    blocks = _blocks(data, len(masks))
-    for j, mask in enumerate(masks):
-        np.copyto(blocks[..., j], g.data, where=mask)
+def _put(g: Tensor, tap: np.ndarray, kernel: int, shape: tuple) -> Tensor:
+    """Adjoint of _pick: g at each block's tapped entry, zero elsewhere, in
+    `shape`, over channels-last memory."""
+    batch, ch, length = shape
+    data = np.zeros((batch, length, ch))
+    data.reshape(-1)[_tap_index(tap, kernel, length)] = g.data.transpose(0, 2, 1)
 
     def vjp(h: Tensor):
-        return (_pick(h, masks),)
+        return (_pick(h, tap, kernel),)
 
-    return _make(data, "put", (g,), vjp)
+    return _make(data.transpose(0, 2, 1), "put", (g,), vjp)
 
 
 def maxpool1d(x: Tensor, kernel: int = 2) -> Tensor:
@@ -511,19 +531,23 @@ def maxpool1d(x: Tensor, kernel: int = 2) -> Tensor:
         raise ShapeError(f"maxpool1d: kernel {kernel} < 1")
     if x.shape[-1] < kernel:
         raise ShapeError(f"maxpool1d: length {x.shape[-1]} < kernel {kernel}")
-    blocks = _blocks(x.data, kernel)
-    # a strict > moves the pick only past a larger value: ties keep the first
-    value, later = blocks[..., 0], []
+    batch, ch, length = x.shape
+    m = length // kernel
+    # (B, m, K, C) view of the whole blocks, a view whatever x's memory layout
+    blocks = x.data.transpose(0, 2, 1)[:, : m * kernel].reshape(batch, m, kernel, ch)
+    # the tap of each block's first maximum is kept only when a graph is recorded
+    tracked = _grad_enabled and x.requires_grad
+    value, tap = blocks[:, :, 0], None
     for j in range(1, kernel):
-        later.append(blocks[..., j] > value)
-        value = np.maximum(value, blocks[..., j])
-    # tap j is picked where it beat the running maximum and no later tap did
-    masks, rest = [None] * kernel, True
-    for j in range(kernel - 1, 0, -1):
-        masks[j] = later[j - 1] & rest
-        rest = rest & ~masks[j]
-    masks[0] = rest
-    return _pick(x, masks, value)
+        if tracked:
+            # a strict > moves the pick only past a larger value: ties keep the
+            # first; taps are uint8 up to 256 and widen beyond
+            later = blocks[:, :, j] > value
+            tap = later.view(np.uint8) if j == 1 else np.where(later, np.min_scalar_type(j).type(j), tap)
+        value = np.maximum(value, blocks[:, :, j])
+    if tracked and tap is None:  # kernel 1: every block's only entry
+        tap = np.zeros(value.shape, np.uint8)
+    return _pick(x, tap, kernel, value.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,14 @@ class UsageError(Exception):
     """Flags that parse but form an invalid configuration."""
 
 
-def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs: list) -> None:
+def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs: list, **extra) -> None:
     doc = {
         "command": command,
         "config": resolved,
         "outputs": sorted(str(o) for o in outputs),
         "version": __version__,
         "wallclock": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **extra,
     }
     (out_dir / "run.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -201,6 +202,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace: list = []
+    stop: dict = {}  # why meta-training stopped; baselines run their epochs
     outputs = []
     resolved = dataclasses.asdict(cfg)
     resolved.update({"algorithm": args.algo, "data": str(args.data)})
@@ -218,7 +220,7 @@ def cmd_train(args) -> int:
                 imp_path.write_text(json.dumps(_importance_doc(importance, cfg, scenarios), indent=2))
                 outputs.append(imp_path)
                 resolved["importance_file"] = str(imp_path)
-        params = meta.meta_train(args.algo, scenarios, cfg, importance=importance, trace=trace)
+        params = meta.meta_train(args.algo, scenarios, cfg, importance=importance, trace=trace, stop=stop)
     else:  # a baseline: argparse restricts --algo to ALL_ALGORITHMS
         n = len(scenarios)
         if not 0 <= args.target < n:
@@ -238,7 +240,7 @@ def cmd_train(args) -> int:
     trace_path = out / "trace.csv"
     _write_csv(trace_path, ["iteration", "task_id", "query_loss"], trace)
     outputs.append(trace_path)
-    _write_manifest(out, "train", resolved, outputs)
+    _write_manifest(out, "train", resolved, outputs, **({"stop": stop} if stop else {}))
     print(f"trained {args.algo} -> {ckpt}")
     return 0
 

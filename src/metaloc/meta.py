@@ -59,7 +59,7 @@ __all__ = [
 META_ALGORITHMS = ("maml", "fomaml", "tb-maml")
 
 STEP_FLOOR = 1e-6  # lower clamp for the effective TB-MAML outer step
-CONVERGENCE_WINDOW, CONVERGENCE_TOL = 50, 1e-4  # meta_train's early stop; see its docstring
+CONVERGENCE_WINDOW, CONVERGENCE_RTOL = 50, 1e-3  # meta_train's early stop; see its docstring
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
@@ -410,14 +410,20 @@ def meta_train(
     cfg: MetaConfig,
     importance: Optional[ImportanceVector] = None,
     trace: Optional[list] = None,
+    stop: Optional[dict] = None,
 ) -> dict:
     """Run one meta-training loop and return the learned initialization.
 
     scenarios are the meta-training tasks. Stops after meta_iterations, or
-    earlier once the moving-average query loss over the last
-    CONVERGENCE_WINDOW iterations improves by less than CONVERGENCE_TOL
-    versus the window before it. Appends (iteration, task_id, query_loss)
-    rows to `trace` when given.
+    earlier once the mean query loss over the last CONVERGENCE_WINDOW (50)
+    iterations improves on the mean over the window before it by less than
+    CONVERGENCE_RTOL (1e-3) times that earlier mean: a relative rule, so
+    it reads the same on any loss scale. The first check comes after
+    2 * CONVERGENCE_WINDOW iterations. Appends (iteration, task_id,
+    query_loss) rows to `trace` when given. Fills `stop`, when given, with
+    why training stopped: {"reason": "budget", "iterations": n} once
+    meta_iterations are spent, or {"reason": "converged", "iterations": n,
+    "window_means": [earlier, last]}.
 
     Each iteration samples meta_batch_size tasks with replacement. MAML
     and FOMAML adapt and differentiate each distinct task of the batch
@@ -488,12 +494,17 @@ def meta_train(
         if len(history) >= 2 * window:
             recent = float(np.mean(history[-window:]))
             previous = float(np.mean(history[-2 * window : -window]))
-            if previous - recent < CONVERGENCE_TOL:
+            if previous - recent < CONVERGENCE_RTOL * previous:
                 logger.info(
                     "%s converged after %d iterations (window avg %.4f -> %.4f)",
                     algorithm, iteration + 1, previous, recent,
                 )
+                record = {"reason": "converged", "iterations": iteration + 1, "window_means": [previous, recent]}
                 break
+    else:
+        record = {"reason": "budget", "iterations": cfg.meta_iterations}
+    if stop is not None:
+        stop.update(record)
     return params
 
 

@@ -336,6 +336,107 @@ def test_conv1d_weight_gradient_matches_window_oracle(length, kernel, padding):
     assert np.array_equal(gb.data, cot.sum(axis=0).sum(axis=-1))
 
 
+def channels_last(a):
+    """a's values in (B, L, C) memory, seen as (B, C, L): the layout conv1d
+    returns and predict feeds on."""
+    return np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+LAYOUTS = {"channel_first": np.ascontiguousarray, "channels_last": channels_last}
+
+
+def conv_adjoint_oracles(x0, w0, cot, padding):
+    """Input, weight and bias adjoints of a conv1d from channel-first arrays,
+    computed as the tap-order, window and bias oracles above compute them."""
+    (batch, in_ch, length), (out_ch, _, kernel) = x0.shape, w0.shape
+    length_out = cot.shape[-1]
+    rows = cot.transpose(0, 2, 1).reshape(batch * length_out, out_ch)
+    windows = (rows @ w0.reshape(out_ch, -1)).reshape(batch, length_out, in_ch, kernel)
+    padded = np.zeros((batch, in_ch, length + 2 * padding))
+    for j in range(kernel):
+        padded[..., j : j + length_out] += windows[..., j].transpose(0, 2, 1)
+    xp = np.pad(x0, ((0, 0), (0, 0), (padding, padding)))
+    cols = np.stack([xp[..., j : j + length_out] for j in range(kernel)], axis=-1)
+    cols = cols.transpose(0, 2, 1, 3).reshape(batch * length_out, in_ch * kernel)
+    return (
+        padded[..., padding : padding + length],
+        (cols.T @ rows).T.reshape(out_ch, in_ch, kernel),
+        cot.sum(axis=0).sum(axis=-1),
+    )
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize(
+    "x_shape, w_shape, padding",
+    [((4, 3, 7), (5, 3, 1), 0), ((4, 3, 6), (5, 3, 2), 2), ((6, 3, 30), (10, 3, 3), 1),
+     ((6, 10, 15), (15, 10, 3), 1)],
+    ids=["k1", "k2", "conv1", "conv2"],
+)
+def test_conv1d_adjoints_are_bitwise_the_oracles_in_either_layout(x_shape, w_shape, padding, layout):
+    # the rule's own adjoints, for an input and a cotangent in channel-first
+    # memory (as perfbench/layers.py feeds them) or channels-last (as predict
+    # does), equal the channel-first oracles; the bias adjoint sums over
+    # lengths of 8 and more, where numpy's pairwise order shows a layout
+    rng = np.random.default_rng(67)
+    lay = LAYOUTS[layout]
+    x0, w0, b0 = rng.uniform(-1, 1, x_shape), rng.uniform(-1, 1, w_shape), rng.uniform(-1, 1, w_shape[0])
+    x = ad.Tensor(lay(x0), requires_grad=True)
+    w, b = ad.Tensor(w0, requires_grad=True), ad.Tensor(b0, requires_grad=True)
+    y = ad.conv1d(x, w, b, padding=padding)
+    cot = rng.uniform(-1, 1, y.shape)
+    c = ad.Tensor(lay(cot), requires_grad=True)
+    adjoints = y.node.vjp(c)
+    for got, expected in zip(adjoints, conv_adjoint_oracles(x0, w0, cot, padding)):
+        assert np.array_equal(got.data, expected)
+
+    # second order: <adjoints, V> differentiated in x, w, b and the cotangent
+    # gives the bits the channel-first operands give
+    def second(make):
+        x, w, b = (ad.Tensor(a, requires_grad=True) for a in (make(x0), w0, b0))
+        c = ad.Tensor(make(cot), requires_grad=True)
+        adjoints = ad.conv1d(x, w, b, padding=padding).node.vjp(c)
+        total = ad.sum_all(ad.mul(adjoints[0], ad.Tensor(make(v[0]))))
+        for g, d in zip(adjoints[1:], v[1:]):
+            total = ad.add(total, ad.sum_all(ad.mul(g, ad.Tensor(d))))
+        return [g.data for g in ad.grad(total, [x, w, b, c])]
+
+    v = [rng.uniform(-1, 1, shape) for shape in (x_shape, w_shape, w_shape[:1])]
+    for got, expected in zip(second(lay), second(np.ascontiguousarray)):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("length, kernel", [(15, 2), (30, 2), (7, 1), (7, 3), (16, 3)])
+def test_maxpool1d_pick_and_put_are_bitwise_the_oracles_in_either_layout(length, kernel, layout):
+    # integers give exact ties; the pick, its put and the put's own pick
+    # follow the argmax oracle whatever the memory of x and the cotangents
+    rng = np.random.default_rng(71)
+    lay = LAYOUTS[layout]
+    x0 = rng.integers(-2, 3, (4, 5, length)).astype(float)
+    m = length // kernel
+    blocks = x0[..., : m * kernel].reshape(4, 5, m, kernel)
+    first = blocks.argmax(axis=-1)
+
+    def first_max(a):
+        picked = a[..., : m * kernel].reshape(blocks.shape)
+        return np.take_along_axis(picked, first[..., None], -1)[..., 0]
+
+    cot = rng.uniform(-1, 1, (4, 5, m))
+    put = np.zeros_like(x0)
+    for b, c, i in np.ndindex(cot.shape):
+        put[b, c, i * kernel + first[b, c, i]] = cot[b, c, i]
+
+    x = ad.Tensor(lay(x0), requires_grad=True)
+    y = ad.maxpool1d(x, kernel)
+    assert np.array_equal(y.data, first_max(x0))
+    c = ad.Tensor(lay(cot), requires_grad=True)
+    (gx,) = y.node.vjp(c)
+    assert np.array_equal(gx.data, put)
+    v = rng.uniform(-1, 1, x0.shape)
+    (gc,) = ad.grad(ad.sum_all(ad.mul(gx, ad.Tensor(lay(v)))), [c])
+    assert np.array_equal(gc.data, first_max(v))
+
+
 def quadratic_form_gradients(op, inputs, seed):
     """y = op(inputs), the gradients of <proj, y*y> in every input, and the
     gradients of <those gradients, directions>, all as arrays."""

@@ -1,20 +1,26 @@
 """End-to-end command behavior: files, determinism, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import metaloc
 from metaloc import evaluation, meta
-from metaloc.cli import _CONFIG_FLAGS, main
+from metaloc.autodiff import Tensor
+from metaloc.cli import _CONFIG_FLAGS, EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
 from metaloc.model import init_params, save_params
 from metaloc.tasks import load_scenario_dir
 
@@ -183,6 +189,28 @@ def test_train_meta_writes_outputs(tmp_path):
     assert manifest["config"]["gamma"] == 0.0005
 
 
+def test_train_records_why_meta_training_stopped(tmp_path, monkeypatch):
+    data = gen(tmp_path)
+
+    def stop_record(out, *flags):
+        rc = main(["train", "--algo", "fomaml", "--data", str(data), "--k", "1", "--out", str(out)]
+                  + FAST_FLAGS + list(flags))
+        assert rc == 0
+        return json.loads((out / "run.json").read_text())["stop"]
+
+    assert stop_record(tmp_path / "budget") == {"reason": "budget", "iterations": 2}
+    # with one-iteration windows, a query loss that stands still converges
+    # at the first check, the second iteration of 5
+    monkeypatch.setattr(meta, "CONVERGENCE_WINDOW", 1)
+    monkeypatch.setattr(
+        meta, "_meta_gradients",
+        lambda params, batch, *rest: ([Tensor(np.zeros(p.shape)) for p in params.values()], [5.0] * len(batch)),
+    )
+    assert stop_record(tmp_path / "converged", "--meta-iterations", "5") == {
+        "reason": "converged", "iterations": 2, "window_means": [5.0, 5.0],
+    }
+
+
 def test_train_meta_zero_shots_is_error(tmp_path, capsys):
     data = gen(tmp_path)
     rc = main(
@@ -218,6 +246,8 @@ def test_train_conventional_and_transfer(tmp_path):
         )
         assert rc == 0
         assert (out / "checkpoint.json").exists()
+        # a baseline runs its epochs; there is no early stop to explain
+        assert "stop" not in json.loads((out / "run.json").read_text())
 
 
 def test_train_transfer_without_source_scenario_is_error(tmp_path, capsys):
@@ -709,3 +739,97 @@ def test_commands_do_not_mutate_inputs(tmp_path):
     )
     after = {p.name: p.read_bytes() for p in data.glob("*.json")}
     assert before == after
+
+
+# ---------------------------------------------------------------------------
+# any argv exits with a documented code
+
+# the values are small: the property covers what a flag's value does to the
+# exit code, not how long a large budget runs
+SMALL_INTS = ["-1", "0", "1", "2", "x"]
+FLOATS = ["0", "-1", "1e-3", "nan", "inf", "-inf", "1e308", "x"]
+SEEDS = ["0", "-1", "2305", "99999999999999999999", "x"]
+INT_LISTS = ["1", "2", "1,2", "0", "-1", "1,x", ""]
+ALGO_LISTS = ["conventional", "fomaml", "maml,transfer", "tb-maml", "reptile", ""]
+TINY = ["--inner-steps", "1", "--meta-iterations", "1", "--batch", "1", "--importance-epochs", "1",
+        "--baseline-epochs", "1", "--finetune-epochs", "1"]
+CONFIG_VALUES = {flag: FLOATS if kind is float else SMALL_INTS for flag, _, kind, _ in _CONFIG_FLAGS}
+DATA = ["@data", "@missing", "@file", "@empty", "@bad"]
+OUT = ["@out", "@file"]
+
+# command: (valid flags at tiny budgets, {flag: values a drawn flag may take})
+COMMANDS = {
+    "gen": (
+        ["--scenarios", "2", "--samples-per-rp", "2", "--out", "@out"],
+        {"--scenarios": SMALL_INTS, "--seed": SEEDS, "--rows": SMALL_INTS, "--cols": SMALL_INTS,
+         "--spacing-cm": FLOATS, "--samples-per-rp": SMALL_INTS, "--out": OUT},
+    ),
+    "importance": (
+        ["--data", "@data", "--k", "1", "--out", "@out"] + TINY,
+        {"--data": DATA, "--k": SMALL_INTS, "--seed": SEEDS, "--out": OUT, **CONFIG_VALUES},
+    ),
+    "train": (
+        ["--algo", "fomaml", "--data", "@data", "--k", "1", "--out", "@out"] + TINY,
+        {"--algo": [*evaluation.ALL_ALGORITHMS, "reptile"], "--data": DATA, "--k": SMALL_INTS,
+         "--seed": SEEDS, "--out": OUT, "--importance": ["@importance", "@missing", "@bad", "@data"],
+         "--target": SMALL_INTS, **CONFIG_VALUES},
+    ),
+    "eval": (
+        ["--checkpoint", "@checkpoint", "--data", "@data", "--k", "1", "--out", "@out"] + TINY,
+        {"--checkpoint": ["@checkpoint", "@missing", "@bad", "@data"], "--data": DATA,
+         "--k": SMALL_INTS, "--seed": SEEDS, "--out": OUT, **CONFIG_VALUES},
+    ),
+    "bench": (
+        ["--data", "@data", "--algos", "conventional,fomaml", "--shots", "1", "--repeats", "1",
+         "--test-scenarios", "1", "--matrix-scenarios", "2", "--counts", "2", "--out", "@out"] + TINY,
+        {"--data": DATA, "--algos": ALGO_LISTS, "--shots": INT_LISTS, "--repeats": SMALL_INTS,
+         "--test-scenarios": SMALL_INTS, "--matrix-scenarios": SMALL_INTS, "--counts": INT_LISTS,
+         "--seed": SEEDS, "--out": OUT, **CONFIG_VALUES},
+    ),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command, mostly with its valid tiny-budget flags, then drawn flags,
+    which override the valid ones: argparse keeps a flag's last value."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    base, values = COMMANDS[command]
+    flags = draw(st.lists(st.sampled_from(sorted(values)), max_size=3))
+    drawn = [token for flag in flags for token in (flag, draw(st.sampled_from(values[flag])))]
+    return [command] + (base if draw(st.integers(0, 4)) else []) + drawn
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    data = root / "data"
+    assert main(["gen", "--scenarios", "3", "--seed", "1", "--out", str(data), "--samples-per-rp", "2"]) == 0
+    save_params(init_params(0), root / "checkpoint.json")
+    importance = root / "importance.json"
+    with mock.patch.dict(os.environ, {"METALOC_THREADS": "1"}):
+        assert main(["importance", "--data", str(data), "--k", "1", "--out", str(importance)] + TINY) == 0
+    (root / "empty").mkdir()
+    (root / "bad").mkdir()
+    (root / "bad" / "scenario_000.json").write_text("{")
+    (root / "bad.json").write_text("{")
+    files = {name: root / name for name in ("data", "empty", "bad", "missing")}
+    files.update({"file": root / "bad.json", "checkpoint": root / "checkpoint.json", "importance": importance})
+    return root, files
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs())
+def test_every_argv_exits_with_a_documented_code(argv_files, argv):
+    root, files = argv_files
+    out = Path(tempfile.mkdtemp(dir=root)) / "out"
+    argv = [str(out) if a == "@out" else str(files[a[1:]]) if a.startswith("@") else a for a in argv]
+    # values such as 1e308 overflow on purpose, so numpy's overflow warnings are expected
+    with mock.patch.dict(os.environ, {"METALOC_THREADS": "1"}), np.errstate(all="ignore"), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            rc = e.code
+    event(f"{argv[0]} exits {rc}")
+    assert rc in (0, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC), argv

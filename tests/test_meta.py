@@ -309,6 +309,39 @@ def test_meta_train_deterministic():
         assert np.array_equal(a[name].data, b[name].data)
 
 
+def fixed_query_losses(losses):
+    """A _meta_gradients stand-in: zero gradients, and the next of `losses`
+    as the query loss of every task of the batch."""
+    feed = iter(losses)
+
+    def meta_gradients(params, batch, cfg, second_order, loss_fn):
+        loss = next(feed)
+        return [ad.Tensor(np.zeros(p.shape)) for p in params.values()], [loss] * len(batch)
+
+    return meta_gradients
+
+
+@pytest.mark.parametrize(
+    "losses, expected",
+    [
+        # 1e6 cm^2 falling by 10 an iteration: each window improves by 2e-5
+        # of its predecessor, below the 1e-3 rule (an absolute 1e-4 misses it)
+        ([1e6 - 10.0 * i for i in range(8)],
+         {"reason": "converged", "iterations": 4, "window_means": [1e6 - 5.0, 1e6 - 25.0]}),
+        # 1e-6 cm^2 halving every iteration: each window improves by 75%, so
+        # the budget is spent (an absolute 1e-4 would stop at the first check)
+        ([1e-6 * 0.5**i for i in range(8)], {"reason": "budget", "iterations": 8}),
+    ],
+    ids=["converged", "budget"],
+)
+def test_meta_train_stop_says_why_on_a_relative_scale(monkeypatch, losses, expected):
+    monkeypatch.setattr(meta, "CONVERGENCE_WINDOW", 2)
+    monkeypatch.setattr(meta, "_meta_gradients", fixed_query_losses(losses))
+    stop = {}
+    meta.meta_train("fomaml", small_scenarios(2), quick_cfg(meta_iterations=8), stop=stop)
+    assert stop == expected
+
+
 def test_meta_train_rejects_unknown_algorithm():
     with pytest.raises(ValueError, match="unknown meta algorithm"):
         meta.meta_train("reptile", small_scenarios(2), quick_cfg())
@@ -551,6 +584,10 @@ def test_meta_gradient_peak_memory_is_one_task(second_order):
     task = meta.build_task_data(tasks.generate_scenario(21, tasks.ChannelConfig()), 1, 0)
     cfg = MetaConfig(inner_steps=2, shots=1)
     params = model.init_params(3)
+
+    # the pool starts untraced, so both traced batches measure only their
+    # own work, not the workers' start-up and spawn's imports
+    evaluation._run_cells(int, [0, 0], evaluation.worker_count())
 
     def peak_bytes(batch):
         tracemalloc.start()
