@@ -3,10 +3,17 @@ benchmark. Each command but importance writes a run manifest with the fully
 resolved configuration so runs can be reproduced bit-for-bit from the same
 flags; importance keeps its configuration in the file it writes.
 
+Each flag that several commands share is declared once, on a parent
+parser: `seeded` (--seed, --out) serves every command, `on_data` adds
+--data and the MetaConfig flags of _CONFIG_FLAGS, and `at_k` adds --k.
+A subparser declares only its own flags. No command writes to its parsed
+arguments.
+
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
-`metaloc bench` leaves the checks of its experiments to the evaluation
-plans and reports a plan's ValueError as a usage error (exit 2); any
-other ValueError, such as a library rule on the data, exits 3.
+`metaloc bench` leaves the checks of its experiments, the --algos names
+among them, to the evaluation plans and reports a plan's ValueError as a
+usage error (exit 2); any other ValueError, such as a library rule on the
+data, exits 3.
 """
 
 from __future__ import annotations
@@ -73,15 +80,14 @@ _CONFIG_FLAGS = (
 )
 
 
-def _meta_config(args) -> meta.MetaConfig:
-    cfg = meta.MetaConfig(seed=args.seed)
+def _meta_config(args, shots) -> meta.MetaConfig:
     overrides = {
         name: getattr(args, name) for _, name, _, _ in _CONFIG_FLAGS if getattr(args, name) is not None
     }
-    if getattr(args, "k", None) is not None:
-        overrides["shots"] = args.k
+    if shots is not None:
+        overrides["shots"] = shots
     try:
-        return dataclasses.replace(cfg, **overrides)
+        return meta.MetaConfig(seed=args.seed, **overrides)
     except ValueError as e:
         raise UsageError(str(e))
 
@@ -185,7 +191,7 @@ def _check_worker_count() -> None:
 def cmd_importance(args) -> int:
     _check_worker_count()
     scenarios = load_scenario_dir(args.data)
-    cfg = _meta_config(args)
+    cfg = _meta_config(args, args.k)
     vector = meta.compute_importance(scenarios, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -198,7 +204,7 @@ def cmd_train(args) -> int:
     if args.algo in meta.META_ALGORITHMS:
         _check_worker_count()  # meta-batches and the importance vector run in the pool
     scenarios = load_scenario_dir(args.data)
-    cfg = _meta_config(args)
+    cfg = _meta_config(args, args.k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace: list = []
@@ -248,7 +254,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params = load_params(args.checkpoint)
     scenarios = load_scenario_dir(args.data)
-    cfg = _meta_config(args)
+    cfg = _meta_config(args, args.k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -290,16 +296,16 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     _check_worker_count()
-    algorithms, shots = args.algos, args.shots
+    algorithms, shots = args.algos.split(","), args.shots
     scenarios = load_scenario_dir(args.data)
     n = len(scenarios)
-    if args.matrix_scenarios is None:
-        args.matrix_scenarios = min(n, 10)
-    elif not 2 <= args.matrix_scenarios <= n:
-        raise UsageError(f"--matrix-scenarios {args.matrix_scenarios} outside 2..{n} for {n} scenarios")
+    matrix_count = args.matrix_scenarios
+    if matrix_count is None:
+        matrix_count = min(n, 10)
+    elif not 2 <= matrix_count <= n:
+        raise UsageError(f"--matrix-scenarios {matrix_count} outside 2..{n} for {n} scenarios")
     # the matrix and sweep experiments run at the first listed shot count
-    args.k = shots[0]
-    cfg = _meta_config(args)
+    cfg = _meta_config(args, shots[0])
     try:
         # with no counts, or no meta-learner, the sweep has no cells
         meta_algos = [a for a in algorithms if a in meta.META_ALGORITHMS]
@@ -307,7 +313,7 @@ def cmd_bench(args) -> int:
             evaluation.benchmark_plan(
                 scenarios, algorithms, shots, args.repeats, cfg, test_count=args.test_scenarios
             ),
-            evaluation.matrix_plan(scenarios[: args.matrix_scenarios], cfg),
+            evaluation.matrix_plan(scenarios[:matrix_count], cfg),
             evaluation.sweep_plan(
                 scenarios, meta_algos, args.counts or [], args.repeats, cfg, test_count=args.test_scenarios
             ),
@@ -374,7 +380,7 @@ def cmd_bench(args) -> int:
             "shot_counts": shots,
             "repeats": args.repeats,
             "test_scenarios": args.test_scenarios,
-            "matrix_scenarios": args.matrix_scenarios,
+            "matrix_scenarios": matrix_count,
             "counts": args.counts,
             "data": str(args.data),
         }
@@ -406,78 +412,54 @@ def _int_list(value: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
 
 
-def _algorithm_list(value: str) -> list:
-    names = value.split(",")
-    unknown = [n for n in names if n not in evaluation.ALL_ALGORITHMS]
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown {unknown}; expected {evaluation.ALL_ALGORITHMS}")
-    return names
-
-
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    for flag, name, kind, help_text in _CONFIG_FLAGS:
-        p.add_argument(flag, dest=name, type=kind, default=None, help=help_text)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--out", required=True)
+    on_data = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    on_data.add_argument("--data", required=True)
+    for flag, name, kind, help_text in _CONFIG_FLAGS:
+        on_data.add_argument(flag, dest=name, type=kind, default=None, help=help_text)
+    at_k = argparse.ArgumentParser(add_help=False, parents=[on_data])
+    at_k.add_argument("--k", type=int, default=None, help="shot count (0 = zero-shot)")
+
     parser = argparse.ArgumentParser(
         prog="metaloc",
         description="Few-shot CSI indoor localization: data, training, benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate synthetic scenario files")
+    p = sub.add_parser("gen", parents=[seeded], help="generate synthetic scenario files")
     p.add_argument("--scenarios", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.add_argument("--rows", type=int, default=3)
     p.add_argument("--cols", type=int, default=4)
     p.add_argument("--spacing-cm", dest="spacing_cm", type=float, default=60.0)
     p.add_argument("--samples-per-rp", dest="samples_per_rp", type=int, default=40)
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("importance", help="compute the task importance vector")
-    p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, default=None, help="shot count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    p = sub.add_parser("importance", parents=[at_k], help="compute the task importance vector")
     p.set_defaults(fn=cmd_importance)
 
-    p = sub.add_parser("train", help="train one algorithm on a scenario directory")
+    p = sub.add_parser("train", parents=[at_k], help="train one algorithm on a scenario directory")
     p.add_argument("--algo", required=True, choices=evaluation.ALL_ALGORITHMS)
-    p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, default=None, help="shot count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.add_argument("--importance", default=None, help="importance JSON for tb-maml")
     p.add_argument("--target", type=int, default=0, help="target scenario index (baselines)")
-    _add_config_flags(p)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="adapt a checkpoint on each scenario and report errors")
+    p = sub.add_parser("eval", parents=[at_k], help="adapt a checkpoint on each scenario and report errors")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, default=None, help="shot count (0 = zero-shot)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("bench", help="run the full benchmark suite")
-    p.add_argument("--data", required=True)
-    p.add_argument("--algos", type=_algorithm_list, default=",".join(evaluation.ALL_ALGORITHMS))
+    p = sub.add_parser("bench", parents=[on_data], help="run the full benchmark suite")
+    p.add_argument("--algos", default=",".join(evaluation.ALL_ALGORITHMS))
     p.add_argument("--shots", type=_int_list, default="5,3")
     p.add_argument("--repeats", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.add_argument("--test-scenarios", dest="test_scenarios", type=int, default=5)
     p.add_argument(
         "--matrix-scenarios", dest="matrix_scenarios", type=int, default=None,
         help="scenarios in the cross-scenario matrix (default: all, up to 10)",
     )
     p.add_argument("--counts", type=_int_list, default=None, help="task-count sweep, e.g. 5,10,15")
-    _add_config_flags(p)
     p.set_defaults(fn=cmd_bench)
 
     return parser

@@ -421,9 +421,15 @@ def meta_train(
     it reads the same on any loss scale. The first check comes after
     2 * CONVERGENCE_WINDOW iterations. Appends (iteration, task_id,
     query_loss) rows to `trace` when given. Fills `stop`, when given, with
-    why training stopped: {"reason": "budget", "iterations": n} once
-    meta_iterations are spent, or {"reason": "converged", "iterations": n,
-    "window_means": [earlier, last]}.
+    why training stopped, as one of three records:
+    - {"reason": "budget", "iterations": n} once meta_iterations are spent;
+    - {"reason": "converged", "iterations": n, "window_means": [earlier,
+      last]} when the last window's mean is at most the earlier one but
+      improves on it by less than the rule asks;
+    - {"reason": "worsened", "iterations": n, "window_means": [earlier,
+      last]} when the last window's mean is above the earlier one, which
+      is also logged as a warning.
+    The stopping rule is the same for "converged" and "worsened".
 
     Each iteration samples meta_batch_size tasks with replacement. MAML
     and FOMAML adapt and differentiate each distinct task of the batch
@@ -495,11 +501,12 @@ def meta_train(
             recent = float(np.mean(history[-window:]))
             previous = float(np.mean(history[-2 * window : -window]))
             if previous - recent < CONVERGENCE_RTOL * previous:
-                logger.info(
-                    "%s converged after %d iterations (window avg %.4f -> %.4f)",
-                    algorithm, iteration + 1, previous, recent,
+                reason = "worsened" if recent > previous else "converged"
+                (logger.warning if reason == "worsened" else logger.info)(
+                    "%s %s after %d iterations (window avg %.6g -> %.6g)",
+                    algorithm, reason, iteration + 1, previous, recent,
                 )
-                record = {"reason": "converged", "iterations": iteration + 1, "window_means": [previous, recent]}
+                record = {"reason": reason, "iterations": iteration + 1, "window_means": [previous, recent]}
                 break
     else:
         record = {"reason": "budget", "iterations": cfg.meta_iterations}

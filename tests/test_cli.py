@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 import metaloc
 from metaloc import evaluation, meta
 from metaloc.autodiff import Tensor
-from metaloc.cli import _CONFIG_FLAGS, EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, main
+from metaloc.cli import _CONFIG_FLAGS, EXIT_DATA, EXIT_NUMERIC, EXIT_USAGE, build_parser, main
 from metaloc.model import init_params, save_params
 from metaloc.tasks import load_scenario_dir
 
@@ -582,11 +582,12 @@ def test_bench_without_sweep_cells_writes_a_header_only_sweep(tmp_path, monkeypa
          "algorithms ['conventional'] listed more than once"),
         (["--shots", "2,1,2"], "shot counts [2] listed more than once"),
         (["--counts", "2,1,2"], "task counts [2] listed more than once"),
+        (["--algos", "maml,nope"], "unknown algorithm 'nope'"),
     ],
     ids=["count-above-training", "count-zero", "count-above-fewer-training", "no-training-scenario",
          "one-matrix-scenario", "zero-shots-meta", "negative-later-shots", "negative-shots-baseline",
          "tb-maml-one-training-scenario", "tb-maml-count-one", "matrix-above-scenarios",
-         "repeated-algorithm", "repeated-shots", "repeated-counts"],
+         "repeated-algorithm", "repeated-shots", "repeated-counts", "unknown-algorithm"],
 )
 def test_bench_bad_experiment_flags_fail_before_any_work(tmp_path, monkeypatch, capsys, flags, reason):
     data = gen(tmp_path, n=4)
@@ -611,6 +612,44 @@ def test_bench_malformed_list_usage_error(tmp_path, flag, value):
         main(["bench", "--data", str(data), "--out", str(out), flag, value] + FAST_FLAGS)
     assert exc.value.code == 2
     assert not out.exists()  # rejected before any work starts
+
+
+@pytest.mark.parametrize(
+    "command, own, on_data, at_k",
+    [
+        ("gen", ["--scenarios", "1"], False, False),
+        ("importance", [], True, True),
+        ("train", ["--algo", "maml"], True, True),
+        ("eval", ["--checkpoint", "ckpt.json"], True, True),
+        ("bench", [], True, False),
+    ],
+)
+def test_shared_flags_parse_alike_on_every_command(command, own, on_data, at_k):
+    parser = build_parser()
+    argv = [command, "--seed", "7", "--out", "o"] + own
+    expected = {"seed": 7, "out": "o"}
+    data_argv, data_values = ["--data", "d"], {"data": "d"}
+    for i, (flag, name, kind, _) in enumerate(_CONFIG_FLAGS):
+        data_argv += [flag, str(i + 2)]
+        data_values[name] = kind(i + 2)  # a distinct value per flag, so no two share a dest
+    if on_data:
+        argv += data_argv
+        expected.update(data_values)
+    else:
+        for flag in data_argv[::2]:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + [flag, "3"])
+            assert exc.value.code == 2
+    parsed = vars(parser.parse_args(argv))
+    assert {name: (parsed[name], type(parsed[name])) for name in expected} == {
+        name: (value, type(value)) for name, value in expected.items()
+    }
+    if at_k:
+        assert parser.parse_args(argv + ["--k", "2"]).k == 2
+    else:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + ["--k", "2"])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])

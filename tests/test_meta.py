@@ -331,8 +331,11 @@ def fixed_query_losses(losses):
         # 1e-6 cm^2 halving every iteration: each window improves by 75%, so
         # the budget is spent (an absolute 1e-4 would stop at the first check)
         ([1e-6 * 0.5**i for i in range(8)], {"reason": "budget", "iterations": 8}),
+        # doubling every iteration: the last window's mean rose, so the
+        # record says so rather than "converged"
+        ([2.0**i for i in range(8)], {"reason": "worsened", "iterations": 4, "window_means": [1.5, 6.0]}),
     ],
-    ids=["converged", "budget"],
+    ids=["converged", "budget", "worsened"],
 )
 def test_meta_train_stop_says_why_on_a_relative_scale(monkeypatch, losses, expected):
     monkeypatch.setattr(meta, "CONVERGENCE_WINDOW", 2)
