@@ -5,7 +5,9 @@ computation graph (each node stores its op kind, parent tensors and a
 backward rule). Backward rules are themselves written in terms of the
 public ops, so running a backward pass with ``create_graph=True`` records
 a new differentiable graph - that is what gives gradients of gradients,
-needed to push meta-gradients through an inner adaptation step.
+needed to push meta-gradients through an inner adaptation step. Ops take
+Tensors. A recorded node implies requires_grad, so every check of tracking
+reads that flag alone.
 
 A backward pass runs backward rules only for nodes downstream of a
 requested (``wrt``) tensor: history older than the requested tensors is
@@ -126,8 +128,8 @@ class Node:
 class Tensor:
     """Dense float64 array with optional gradient tracking.
 
-    ``node`` is None for leaves and constants; interior tensors carry the
-    graph node that produced them.
+    ``node`` is None for leaves and constants; tracked interior tensors
+    carry the graph node that produced them.
     """
 
     __slots__ = ("data", "requires_grad", "node")
@@ -166,10 +168,6 @@ class Tensor:
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, op: str, parents: tuple, vjp: Callable) -> Tensor:
@@ -348,7 +346,6 @@ def mean_all(a: Tensor) -> Tensor:
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:
     """Mean squared error over every entry of pred vs target."""
-    target = _coerce(target)
     if pred.shape != target.shape:
         raise ShapeError(f"mse: shapes {pred.shape} and {target.shape} differ")
     d = sub(pred, target)
@@ -570,7 +567,7 @@ def toposort(root: Tensor) -> list:
         stack.append((t, True))
         if t.node is not None:
             for p in t.node.parents:
-                if id(p) not in seen and (p.node is not None or p.requires_grad):
+                if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
     return order
 
@@ -596,14 +593,14 @@ def grad(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> l
     wrt = list(wrt)
 
     grads: dict = {}
-    if output.node is not None or output.requires_grad:
+    if output.requires_grad:
         grads[id(output)] = Tensor(np.ones(output.shape))
 
     order = toposort(output)
     # only nodes downstream of wrt can carry gradient to it: mark the
     # tracked wrt tensors, then every node with a marked parent
     kept = {id(t) for t in wrt}
-    marked = {id(t) for t in wrt if t.requires_grad or t.node is not None}
+    marked = {id(t) for t in wrt if t.requires_grad}
     downstream = []
     for t in order:
         if t.node is not None and any(id(p) in marked for p in t.node.parents):

@@ -201,6 +201,8 @@ def cmd_importance(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.importance and args.algo != "tb-maml":
+        raise UsageError(f"--importance applies only to --algo tb-maml, not {args.algo}")
     if args.algo in meta.META_ALGORITHMS:
         _check_worker_count()  # meta-batches and the importance vector run in the pool
     scenarios = load_scenario_dir(args.data)

@@ -10,7 +10,7 @@ gradient at the adapted weights and applies it to the initialization
 unchanged; TB-MAML is per-task second-order MAML whose outer step size is
 biased by a per-task importance weight u in [-1, 1]:
 
-    step_j = max(STEP_FLOOR, beta + gamma * u_j)
+    step_j = beta + gamma * u_j
 
 Both baselines (train_baseline) and the importance vector share one
 cross-transfer primitive, cross_transfer: fit a fresh model on a source
@@ -58,19 +58,19 @@ __all__ = [
 
 META_ALGORITHMS = ("maml", "fomaml", "tb-maml")
 
-STEP_FLOOR = 1e-6  # lower clamp for the effective TB-MAML outer step
 CONVERGENCE_WINDOW, CONVERGENCE_RTOL = 50, 1e-3  # meta_train's early stop; see its docstring
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetaConfig:
-    """Step sizes, budgets and seeds shared by every trainer.
+    """Frozen step sizes, budgets and seeds shared by every trainer; change
+    a field with dataclasses.replace, which runs the checks again.
 
     alpha: inner (adaptation) step size.
     beta: outer meta-step size.
     gamma: importance-bias intensity; kept <= beta so beta + gamma*u stays
-        positive for u in [-1, 1].
+        non-negative for u in [-1, 1].
     """
 
     alpha: float = 0.01
@@ -93,7 +93,7 @@ class MetaConfig:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.gamma > self.beta:
             raise ValueError(
-                f"gamma must be <= beta to keep the biased step positive "
+                f"gamma must be <= beta to keep the biased step non-negative "
                 f"(got gamma={self.gamma}, beta={self.beta})"
             )
         for name, least in (
@@ -330,11 +330,7 @@ def _meta_gradients(
 
 
 def effective_step(cfg: MetaConfig, importance: float) -> float:
-    step = cfg.beta + cfg.gamma * importance
-    if step < STEP_FLOOR:
-        logger.warning("biased outer step %.3g below floor; clamping to %.3g", step, STEP_FLOOR)
-        return STEP_FLOOR
-    return step
+    return cfg.beta + cfg.gamma * importance
 
 
 def importance_from_losses(average_losses) -> np.ndarray:
@@ -534,7 +530,7 @@ def train_baseline(
 def adapt_and_eval(params: dict, task: TaskData, cfg: MetaConfig) -> np.ndarray:
     """Adapt on the test task's support, then distance errors on its query (cm)."""
     adapted = params
-    if cfg.inner_steps and task.support[0].shape[0]:
+    if task.support[0].shape[0]:
         adapted = inner_adapt(params, task.support, cfg.alpha, cfg.inner_steps)
     xq, yq = task.query
     preds = predict_positions(adapted, xq)

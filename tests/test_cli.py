@@ -412,6 +412,19 @@ def test_train_tb_maml_importance_of_same_rooms_is_accepted(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("algo", ["maml", "fomaml", "conventional", "transfer"])
+def test_train_importance_with_another_algorithm_is_usage_error(tmp_path, capsys, algo):
+    # neither the data directory nor the importance file exists, so reading
+    # either first would be a data error (3)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--algo", algo, "--data", str(tmp_path / "missing"),
+              "--importance", str(tmp_path / "nonexistent.json"), "--out", str(out)] + FAST_FLAGS)
+    assert exc.value.code == 2
+    assert f"--importance applies only to --algo tb-maml, not {algo}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_command_and_zero_shot(tmp_path):
     data = gen(tmp_path)
     run = tmp_path / "run"

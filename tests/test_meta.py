@@ -198,17 +198,22 @@ def test_tb_effective_step_arithmetic():
     assert meta.effective_step(cfg, -1.0) == pytest.approx(0.0005, abs=1e-18)
 
 
-def test_tb_step_floor_clamps_invalid_config():
+def test_tb_config_cannot_be_made_invalid():
     cfg = MetaConfig(beta=0.001, gamma=0.001)
-    cfg.gamma = 0.01  # invalid combination, bypassing validation on purpose
-    assert meta.effective_step(cfg, -1.0) == meta.STEP_FLOOR
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.gamma = 0.01
+    with pytest.raises(ValueError, match="gamma must be <= beta"):
+        dataclasses.replace(cfg, gamma=0.01)
+    assert cfg.gamma == 0.001
 
 
 def test_tb_effective_step_always_within_bounds():
     cfg = MetaConfig(beta=0.001, gamma=0.0005)
     for u in np.linspace(-1, 1, 41):
         step = meta.effective_step(cfg, float(u))
-        assert meta.STEP_FLOOR <= step <= cfg.beta + cfg.gamma
+        assert cfg.beta - cfg.gamma <= step <= cfg.beta + cfg.gamma
+    # at gamma = beta the least important task does not step
+    assert meta.effective_step(MetaConfig(beta=0.001, gamma=0.001), -1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +362,19 @@ def test_meta_train_rejects_zero_shots():
 
 def test_tb_maml_equals_maml_gamma_zero_full_loop():
     scenarios = small_scenarios(3)
-    cfg = quick_cfg(gamma=0.0, meta_iterations=5, meta_batch_size=1)
-    a = meta.meta_train("maml", scenarios, cfg)
     imp = meta.ImportanceVector(
         values=np.array([0.5, -0.5, 0.0]),
         average_losses=np.zeros(3),
         loss_matrix=np.zeros((3, 3)),
         task_ids=[s.id for s in scenarios],
     )
-    b = meta.meta_train("tb-maml", scenarios, cfg, importance=imp)
-    for name in a:
-        assert np.array_equal(a[name].data, b[name].data)
+    # a tiny beta is the paper's step too: nothing raises it
+    for beta in (quick_cfg().beta, 1e-7):
+        cfg = quick_cfg(beta=beta, gamma=0.0, meta_iterations=5, meta_batch_size=1)
+        a = meta.meta_train("maml", scenarios, cfg)
+        b = meta.meta_train("tb-maml", scenarios, cfg, importance=imp)
+        for name in a:
+            assert np.array_equal(a[name].data, b[name].data)
 
 
 def test_tb_maml_rejects_importance_of_other_tasks():
