@@ -42,8 +42,8 @@ reduction does not, so a bias adjoint's sum makes each partial sum
 C-contiguous before it reduces the next axis, and sums in the order a
 channel-first array would. A backward rule returns None for an untracked
 operand, such as relu's mask or the network's input, instead of an
-adjoint that grad would drop. Everything is float64; no broadcasting
-beyond bias addition is supported.
+adjoint that grad would drop. Everything is float64. Only add broadcasts,
+for a bias; sub, mul and mse need operands of equal shape.
 """
 
 from __future__ import annotations
@@ -225,6 +225,11 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not conform")
 
 
+def _check_equal(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("add", a, b)
 
@@ -235,26 +240,26 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
+    _check_equal("sub", a, b)
 
     def vjp(g: Tensor):
         # an untracked operand, such as mse's target, needs no adjoint
         return (
-            _sum_to(g, a.shape) if a.requires_grad else None,
-            scale(_sum_to(g, b.shape), -1.0) if b.requires_grad else None,
+            g if a.requires_grad else None,
+            scale(g, -1.0) if b.requires_grad else None,
         )
 
     return _make(a.data - b.data, "sub", (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
+    _check_equal("mul", a, b)
 
     def vjp(g: Tensor):
         # an untracked operand, such as relu's mask, needs no adjoint
         return (
-            _sum_to(mul(g, b), a.shape) if a.requires_grad else None,
-            _sum_to(mul(g, a), b.shape) if b.requires_grad else None,
+            mul(g, b) if a.requires_grad else None,
+            mul(g, a) if b.requires_grad else None,
         )
 
     return _make(a.data * b.data, "mul", (a, b), vjp)
@@ -346,8 +351,7 @@ def mean_all(a: Tensor) -> Tensor:
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:
     """Mean squared error over every entry of pred vs target."""
-    if pred.shape != target.shape:
-        raise ShapeError(f"mse: shapes {pred.shape} and {target.shape} differ")
+    _check_equal("mse", pred, target)
     d = sub(pred, target)
     return mean_all(mul(d, d))
 

@@ -3,6 +3,10 @@ benchmark. Each command but importance writes a run manifest with the fully
 resolved configuration so runs can be reproduced bit-for-bit from the same
 flags; importance keeps its configuration in the file it writes.
 
+A command writes nothing until its work is done. Then _write_outputs makes
+--out, writes the command's files into it and writes run.json last, so a
+failed command leaves no --out and a run.json marks a finished run.
+
 Each flag that several commands share is declared once, on a parent
 parser: `seeded` (--seed, --out) serves every command, `on_data` adds
 --data and the MetaConfig flags of _CONFIG_FLAGS, and `at_k` adds --k.
@@ -24,6 +28,7 @@ import dataclasses
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,16 +58,23 @@ class UsageError(Exception):
     """Flags that parse but form an invalid configuration."""
 
 
-def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs: list, **extra) -> None:
+def _write_outputs(out: Path, command: str, resolved: dict, files: dict, **extra) -> None:
+    """Make `out`, write each file with its writer, then run.json last.
+
+    `files` maps a file name to a function that writes that file at a path.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(out / name)
     doc = {
         "command": command,
         "config": resolved,
-        "outputs": sorted(str(o) for o in outputs),
+        "outputs": sorted(str(out / name) for name in files),
         "version": __version__,
         "wallclock": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         **extra,
     }
-    (out_dir / "run.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    (out / "run.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
 # MetaConfig fields settable from the command line: (flag, field, type, help)
@@ -92,11 +104,18 @@ def _meta_config(args, shots) -> meta.MetaConfig:
         raise UsageError(str(e))
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv(header: list, rows: list):
+    def write(path: Path) -> None:
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    return write
+
+
+def _text(text: str):
+    return lambda path: path.write_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -105,18 +124,15 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
 
 def cmd_gen(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     grid = GridSpec(rows=args.rows, cols=args.cols, spacing_cm=args.spacing_cm)
     config = ChannelConfig(grid=grid, samples_per_rp=args.samples_per_rp)
-    outputs = []
+    files = {}
     for k in range(args.scenarios):
         scenario = generate_scenario(
             substream_int(args.seed, "data", k), config, scenario_id=f"scenario_{k:03d}"
         )
-        path = out / f"scenario_{k:03d}.json"
-        save_scenario(scenario, path)
-        outputs.append(path)
-    _write_manifest(
+        files[f"scenario_{k:03d}.json"] = partial(save_scenario, scenario)
+    _write_outputs(
         out,
         "gen",
         {
@@ -127,9 +143,9 @@ def cmd_gen(args) -> int:
             "spacing_cm": args.spacing_cm,
             "samples_per_rp": args.samples_per_rp,
         },
-        outputs,
+        files,
     )
-    print(f"wrote {len(outputs)} scenarios to {out}")
+    print(f"wrote {len(files)} scenarios to {out}")
     return 0
 
 
@@ -208,10 +224,9 @@ def cmd_train(args) -> int:
     scenarios = load_scenario_dir(args.data)
     cfg = _meta_config(args, args.k)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     trace: list = []
     stop: dict = {}  # why meta-training stopped; baselines run their epochs
-    outputs = []
+    files = {}
     resolved = dataclasses.asdict(cfg)
     resolved.update({"algorithm": args.algo, "data": str(args.data)})
 
@@ -224,10 +239,9 @@ def cmd_train(args) -> int:
             else:
                 importance = meta.compute_importance(scenarios, cfg)
                 evaluation._close_pool()  # meta_train runs here; free the idle workers
-                imp_path = out / "importance.json"
-                imp_path.write_text(json.dumps(_importance_doc(importance, cfg, scenarios), indent=2))
-                outputs.append(imp_path)
-                resolved["importance_file"] = str(imp_path)
+                doc = _importance_doc(importance, cfg, scenarios)
+                files["importance.json"] = _text(json.dumps(doc, indent=2))
+                resolved["importance_file"] = str(out / "importance.json")
         params = meta.meta_train(args.algo, scenarios, cfg, importance=importance, trace=trace, stop=stop)
     else:  # a baseline: argparse restricts --algo to ALL_ALGORITHMS
         n = len(scenarios)
@@ -242,14 +256,10 @@ def cmd_train(args) -> int:
             resolved["source"] = source.id
         (params,) = meta.train_baseline(source, [task], cfg)
 
-    ckpt = out / "checkpoint.json"
-    save_params(params, ckpt)
-    outputs.append(ckpt)
-    trace_path = out / "trace.csv"
-    _write_csv(trace_path, ["iteration", "task_id", "query_loss"], trace)
-    outputs.append(trace_path)
-    _write_manifest(out, "train", resolved, outputs, **({"stop": stop} if stop else {}))
-    print(f"trained {args.algo} -> {ckpt}")
+    files["checkpoint.json"] = partial(save_params, params)
+    files["trace.csv"] = _csv(["iteration", "task_id", "query_loss"], trace)
+    _write_outputs(out, "train", resolved, files, **({"stop": stop} if stop else {}))
+    print(f"trained {args.algo} -> {out / 'checkpoint.json'}")
     return 0
 
 
@@ -257,8 +267,6 @@ def cmd_eval(args) -> int:
     params = load_params(args.checkpoint)
     scenarios = load_scenario_dir(args.data)
     cfg = _meta_config(args, args.k)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     all_errors = []
@@ -274,8 +282,6 @@ def cmd_eval(args) -> int:
         all_errors.extend(errors.tolist())
         rows.extend((scenario.id, i, f"{e:.6f}") for i, e in enumerate(errors))
 
-    errors_path = out / "errors.csv"
-    _write_csv(errors_path, ["scenario", "sample", "error_cm"], rows)
     summary = {
         "overall": {
             "mean_cm": float(np.mean(all_errors)),
@@ -284,11 +290,13 @@ def cmd_eval(args) -> int:
         },
         "per_scenario": per_scenario,
     }
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2))
     resolved = dataclasses.asdict(cfg)
     resolved.update({"checkpoint": str(args.checkpoint), "data": str(args.data)})
-    _write_manifest(out, "eval", resolved, [errors_path, summary_path])
+    files = {
+        "errors.csv": _csv(["scenario", "sample", "error_cm"], rows),
+        "summary.json": _text(json.dumps(summary, indent=2)),
+    }
+    _write_outputs(Path(args.out), "eval", resolved, files)
     print(
         f"evaluated {len(scenarios)} scenarios: mean {summary['overall']['mean_cm']:.1f} cm, "
         f"median {summary['overall']['median_cm']:.1f} cm"
@@ -324,57 +332,39 @@ def cmd_bench(args) -> int:
         raise UsageError(str(e)) from None
     report, matrix, sweep = evaluation.run_plans(*plans)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    errors_path = out / "errors.csv"
-    _write_csv(
-        errors_path,
-        ["algorithm", "shots", "repeat", "scenario", "error_cm"],
-        [
-            (e["algorithm"], e["shots"], e["repeat"], e["scenario"], f"{v:.6f}")
-            for e in report.entries
-            for v in e["errors"]
-        ],
-    )
-    outputs.append(errors_path)
-    cdf_path = out / "cdf.csv"
-    _write_csv(
-        cdf_path,
-        ["algorithm", "shots", "threshold_cm", "fraction"],
-        [
-            (r["algorithm"], r["shots"], r["threshold_cm"], f"{r['fraction']:.6f}")
-            for r in report.cdf_table()
-        ],
-    )
-    outputs.append(cdf_path)
-
-    matrix_path = out / "matrix.csv"
-    _write_csv(
-        matrix_path,
-        ["i", "j", "mean_error_cm"],
-        [
-            (i, j, f"{matrix[i, j]:.6f}")
-            for i in range(matrix.shape[0])
-            for j in range(matrix.shape[1])
-        ],
-    )
-    outputs.append(matrix_path)
-
-    sweep_path = out / "sweep.csv"
-    _write_csv(
-        sweep_path,
-        ["algorithm", "task_count", "mean_error_cm"],
-        [
-            (algo, count, f"{mean:.6f}")
-            for (algo, count), mean in sorted(sweep.items())
-        ],
-    )
-    outputs.append(sweep_path)
-
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(report.summary(), indent=2))
-    outputs.append(summary_path)
+    files = {
+        "errors.csv": _csv(
+            ["algorithm", "shots", "repeat", "scenario", "error_cm"],
+            [
+                (e["algorithm"], e["shots"], e["repeat"], e["scenario"], f"{v:.6f}")
+                for e in report.entries
+                for v in e["errors"]
+            ],
+        ),
+        "cdf.csv": _csv(
+            ["algorithm", "shots", "threshold_cm", "fraction"],
+            [
+                (r["algorithm"], r["shots"], r["threshold_cm"], f"{r['fraction']:.6f}")
+                for r in report.cdf_table()
+            ],
+        ),
+        "matrix.csv": _csv(
+            ["i", "j", "mean_error_cm"],
+            [
+                (i, j, f"{matrix[i, j]:.6f}")
+                for i in range(matrix.shape[0])
+                for j in range(matrix.shape[1])
+            ],
+        ),
+        "sweep.csv": _csv(
+            ["algorithm", "task_count", "mean_error_cm"],
+            [
+                (algo, count, f"{mean:.6f}")
+                for (algo, count), mean in sorted(sweep.items())
+            ],
+        ),
+        "summary.json": _text(json.dumps(report.summary(), indent=2)),
+    }
     resolved = dataclasses.asdict(cfg)
     resolved.update(
         {
@@ -387,7 +377,7 @@ def cmd_bench(args) -> int:
             "data": str(args.data),
         }
     )
-    _write_manifest(out, "bench", resolved, outputs)
+    _write_outputs(Path(args.out), "bench", resolved, files)
     for row in report.summary():
         print(
             f"{row['algorithm']:>12s}  k={row['shots']}  "
@@ -417,7 +407,11 @@ def _int_list(value: str) -> list:
 def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0)
-    seeded.add_argument("--out", required=True)
+    seeded.add_argument(
+        "--out", required=True,
+        help="output directory, made only once the work is done, so a failed command leaves none; "
+        "importance writes its one file at this path",
+    )
     on_data = argparse.ArgumentParser(add_help=False, parents=[seeded])
     on_data.add_argument("--data", required=True)
     for flag, name, kind, help_text in _CONFIG_FLAGS:

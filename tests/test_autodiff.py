@@ -103,6 +103,10 @@ def test_shape_errors_name_op_and_extents():
         ad.conv1d(ad.Tensor(rand((1, 3, 5))), ad.Tensor(np.zeros((4, 3, 0))))
     with pytest.raises(ad.ShapeError, match="mse"):
         ad.mse(ad.Tensor(rand((2, 2))), ad.Tensor(rand((3, 2))))
+    # only add broadcasts (a bias); sub and mul need equal shapes
+    for op in ("sub", "mul"):
+        with pytest.raises(ad.ShapeError, match=rf"{op}: shapes \(2, 3\) and \(3,\) differ"):
+            getattr(ad, op)(ad.Tensor(rand((2, 3))), ad.Tensor(rand((3,))))
     with pytest.raises(ad.ShapeError, match="maxpool1d: kernel 0 < 1"):
         ad.maxpool1d(ad.Tensor(rand((1, 2, 6))), 0)
     with pytest.raises(ad.ShapeError, match="maxpool1d: kernel -1 < 1"):

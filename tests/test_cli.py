@@ -81,7 +81,7 @@ def test_gen_rejects_non_finite_spacing(tmp_path, spacing, capsys):
     rc = main(["gen", "--scenarios", "2", "--spacing-cm", spacing, "--out", str(out)])
     assert rc == 3
     assert "degenerate grid: spacing" in capsys.readouterr().err
-    assert not list(out.glob("scenario_*.json")) and not (out / "run.json").exists()
+    assert not out.exists()
 
 
 def test_gen_rejects_a_negative_grid(tmp_path, capsys):
@@ -89,7 +89,7 @@ def test_gen_rejects_a_negative_grid(tmp_path, capsys):
     rc = main(["gen", "--scenarios", "1", "--rows", "-3", "--cols", "-4", "--out", str(out)])
     assert rc == 3
     assert "degenerate grid -3x-4: needs rows >= 1, cols >= 1" in capsys.readouterr().err
-    assert not list(out.glob("scenario_*.json")) and not (out / "run.json").exists()
+    assert not out.exists()
 
 
 def test_unknown_algo_usage_error(tmp_path):
@@ -221,6 +221,24 @@ def test_train_meta_zero_shots_is_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: meta_train needs shots >= 1")
 
 
+@pytest.mark.parametrize(
+    "algo, flags, code",
+    [
+        ("tb-maml", ["--k", "0"], EXIT_DATA),  # after its importance vector is computed
+        ("fomaml", ["--k", "0"], EXIT_DATA),
+        ("maml", ["--k", "1", "--alpha", "1e300"], EXIT_NUMERIC),
+    ],
+    ids=["tb-maml-zero-shots", "fomaml-zero-shots", "maml-overflowing-alpha"],
+)
+def test_failed_train_leaves_no_out(tmp_path, algo, flags, code):
+    data = gen(tmp_path)
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--algo", algo, "--data", str(data), "--out", str(out)] + FAST_FLAGS + flags)
+    assert rc == code
+    assert not out.exists()
+
+
 def test_train_tb_maml_computes_importance_when_missing(tmp_path):
     data = gen(tmp_path)
     out = tmp_path / "run"
@@ -257,7 +275,7 @@ def test_train_transfer_without_source_scenario_is_error(tmp_path, capsys):
               + FAST_FLAGS)
     assert rc == 3
     assert "transfer needs at least 1 source scenario, got 0" in capsys.readouterr().err
-    assert not (out / "checkpoint.json").exists()
+    assert not out.exists()
 
 
 def test_train_target_out_of_range_usage_error(tmp_path, capsys):
@@ -885,3 +903,4 @@ def test_every_argv_exits_with_a_documented_code(argv_files, argv):
             rc = e.code
     event(f"{argv[0]} exits {rc}")
     assert rc in (0, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC), argv
+    assert rc == 0 or not out.exists(), argv
