@@ -19,20 +19,28 @@ propagated: each other gradient is dropped once its node's rule has run.
 
 The op family is exactly what the localization CNN and its MSE loss need:
 add, sub, scalar multiply, matmul, conv1d (stride 1, any kernel and
-padding), maxpool1d (non-overlapping, floor length), relu, flatten and mean
-squared error. A layer is one node, bias included: matmul and conv1d take
-an optional bias, add it in place to their product and return its adjoint
-from their own backward rule. conv1d's product is its im2col rows, one
-slice copy per kernel tap with the padding left at zero, times the weight
-in one matmul. Its input and weight adjoints are private ops of their own;
-the three are bilinear, and each one's backward rule is written with the
-other two. The input adjoint sums an input position's kernel taps in tap
-order, 0 to K-1. maxpool1d picks each block's first maximum, as argmax
-does, with strict ``>`` comparisons, and keeps one byte per block when a
-graph is recorded: the tap of that maximum. The pick and the put that is
-its adjoint read or write each block's tapped entry through one flat
-index, built when they run and dropped at once, and are each other's
-backward rule.
+padding), maxpool1d (non-overlapping, floor length), relu, flatten and
+mean squared error. A layer is one node, bias, pooling and activation
+included: matmul takes an optional bias and relu, conv1d an optional bias,
+max pool and relu, and each applies them in place to its product. The node
+keeps its operands, conv's im2col rows and pool taps, and its own output,
+but no pre-activation: its rule reads relu's mask from the output (out > 0
+exactly where the input to relu is, NaN included) and runs relu's, the
+pool's and the product's rules in turn, so values and gradients are those
+of the separate ops to the bit. relu and maxpool1d share their mask and
+tap code with these nodes and, like the broadcasting add, serve layers
+composed op by op (perfbench's layer timings, the tests); the model does
+not call them. conv1d's product is its im2col rows, one slice copy per
+kernel tap with the padding left at zero, times the weight in one matmul;
+every rule that knows an input's rows reuses them. Its input and weight
+adjoints are private ops of their own; the three are bilinear, and each
+one's backward rule is written with the other two. The input adjoint sums
+an input position's kernel taps in tap order, 0 to K-1. The max pool picks
+each block's first maximum, as argmax does, with strict ``>`` comparisons,
+and keeps one byte per block when a graph is recorded: the tap of that
+maximum. The pick and the put that is its adjoint read or write each
+block's tapped entry through one flat index, built when they run and
+dropped at once, and are each other's backward rule.
 
 Conv and pool arrays are channels-last in memory: conv1d returns a
 (B, C, L) view of (B, L, C) memory, and the conv input adjoint and the
@@ -170,9 +178,14 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
+def _tracks(parents: tuple) -> bool:
+    """Whether an op on these parents records a node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, op: str, parents: tuple, vjp: Callable) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _tracks(parents):
         out.requires_grad = True
         out.node = Node(op, parents, vjp)
     return out
@@ -274,11 +287,12 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * s, "scale", (a,), vjp)
 
 
-def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """a @ b, plus bias (b's columns,) added to every row when given.
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None, relu: bool = False) -> Tensor:
+    """a @ b, plus bias (b's columns,) added to every row when given, then
+    relu when asked.
 
-    A biased matmul is one node, a dense layer's; its rule returns the bias
-    adjoint too.
+    A dense layer is one node, bias and relu included: its rule reads
+    relu's mask from its output and returns the bias adjoint too.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
@@ -287,8 +301,12 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     data = a.data @ b.data
     if bias is not None:
         data += bias.data
+    if relu:
+        np.maximum(data, 0.0, out=data)
 
     def vjp(g: Tensor):
+        if relu:
+            g = _relu_grad(g, data)
         grads = (matmul(g, transpose(b)), matmul(transpose(a), g))
         return grads if bias is None else grads + (_sum_to(g, bias.shape),)
 
@@ -306,14 +324,25 @@ def transpose(a: Tensor) -> Tensor:
     return _make(a.data.T, "transpose", (a,), vjp)
 
 
-def relu(a: Tensor) -> Tensor:
-    def vjp(g: Tensor):
-        # the mask is built when the rule runs, so an undifferentiated graph
-        # holds none; it is piecewise constant in the inputs, so treating it
-        # as a constant is exact almost everywhere (and for second order too)
-        return (mul(g, Tensor((a.data > 0).astype(np.float64))),)
+def _relu_grad(g: Tensor, out: np.ndarray) -> Tensor:
+    """g where relu's output `out` is positive, zero elsewhere.
 
-    return _make(np.maximum(a.data, 0.0), "relu", (a,), vjp)
+    out > 0 exactly where relu's input is > 0, NaN included, so a node
+    keeps only its output. The mask is built when the rule runs, so an
+    undifferentiated graph holds none; it is piecewise constant in the
+    inputs, so treating it as a constant is exact almost everywhere (and
+    for second order too).
+    """
+    return mul(g, Tensor((out > 0).astype(np.float64)))
+
+
+def relu(a: Tensor) -> Tensor:
+    data = np.maximum(a.data, 0.0)
+
+    def vjp(g: Tensor):
+        return (_relu_grad(g, data),)
+
+    return _make(data, "relu", (a,), vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -386,18 +415,40 @@ def _rows(g: np.ndarray) -> np.ndarray:
     return g.transpose(0, 2, 1).reshape(-1, g.shape[1])
 
 
-def _conv(x: Tensor, weight: Tensor, padding: int, bias: Optional[Tensor] = None) -> Tensor:
-    """One im2col matmul, plus bias when given: (B, Cin, L) -> (B, Cout, Lout)."""
+def _conv(
+    x: Tensor, weight: Tensor, padding: int, bias: Optional[Tensor] = None,
+    pool: int = 1, relu: bool = False, cols: Optional[np.ndarray] = None,
+) -> Tensor:
+    """One im2col matmul, plus bias, then a max pool over `pool` positions
+    and relu when asked: (B, Cin, L) -> (B, Cout, Lout // pool). cols are
+    x's im2col rows when known.
+
+    The node keeps x, weight, cols, the pool's taps and its output. Its
+    rule applies relu's mask, the pool's put and the conv adjoints in turn,
+    as the rules of relu, maxpool1d and conv1d would.
+    """
     batch, _, length = x.shape
     out_ch, _, kernel = weight.shape
     length_out = length + 2 * padding - kernel + 1
-    cols = _im2col(x.data, kernel, padding, length_out)
+    if cols is None:
+        cols = _im2col(x.data, kernel, padding, length_out)
     out = cols @ weight.data.reshape(out_ch, -1).T
     if bias is not None:
         out += bias.data
-    data = out.reshape(batch, length_out, out_ch).transpose(0, 2, 1)
+    out = out.reshape(batch, length_out, out_ch)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if pool > 1:
+        m = length_out // pool
+        out, tap = _max_blocks(out[:, : m * pool].reshape(batch, m, pool, out_ch), _tracks(parents))
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    data = out.transpose(0, 2, 1)
 
     def vjp(g: Tensor):
+        if relu:
+            g = _relu_grad(g, data)
+        if pool > 1:
+            g = _put(g, tap, pool, (batch, out_ch, length_out))
         # an untracked input, such as the network's input batch, needs no adjoint
         grads = (
             _conv_input_grad(g, weight, length, padding) if x.requires_grad else None,
@@ -405,7 +456,6 @@ def _conv(x: Tensor, weight: Tensor, padding: int, bias: Optional[Tensor] = None
         )
         return grads if bias is None else grads + (reshape(_sum_to(g, (1, out_ch, 1)), (out_ch,)),)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(data, "conv1d", parents, vjp)
 
 
@@ -426,7 +476,8 @@ def _conv_input_grad(g: Tensor, weight: Tensor, length: int, padding: int) -> Te
     data = data.transpose(0, 2, 1)
 
     def vjp(h: Tensor):
-        return (_conv(h, weight, padding), _conv_weight_grad(h, g, kernel, padding))
+        cols = _im2col(h.data, kernel, padding, length_out)
+        return (_conv(h, weight, padding, cols=cols), _conv_weight_grad(h, g, kernel, padding, cols))
 
     return _make(data, "conv1d_input_grad", (g, weight), vjp)
 
@@ -444,17 +495,23 @@ def _conv_weight_grad(
         # an untracked input, such as the network's input batch, needs no adjoint
         return (
             _conv_input_grad(g, h, x.shape[-1], padding) if x.requires_grad else None,
-            _conv(x, h, padding),
+            _conv(x, h, padding, cols=cols),
         )
 
     return _make(data, "conv1d_weight_grad", (x, g), vjp)
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: int = 1) -> Tensor:
-    """1-d convolution over (batch, channels, length) with stride 1.
+def conv1d(
+    x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: int = 1,
+    pool: int = 1, relu: bool = False,
+) -> Tensor:
+    """1-d convolution over (batch, channels, length) with stride 1, then a
+    max pool over `pool` positions and relu when asked.
 
     weight is (out_channels, in_channels, kernel); bias, when given, is
-    (out_channels,). With kernel 3 / padding 1 the length is preserved.
+    (out_channels,). With kernel 3 / padding 1 the length is preserved. A
+    conv layer is one node: conv1d(x, w, b, pool=2, relu=True) has the
+    values and gradients of relu(maxpool1d(conv1d(x, w, b), 2)).
     """
     if x.ndim != 3:
         raise ShapeError(f"conv1d: input must be (batch, channels, length), got {x.shape}")
@@ -475,7 +532,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, padding: in
         raise ShapeError(f"conv1d: padding {padding} < 0")
     if length + 2 * padding < kernel:
         raise ShapeError(f"conv1d: length {length} + 2 * padding {padding} < kernel {kernel}")
-    return _conv(x, weight, padding, bias)
+    if pool < 1:
+        raise ShapeError(f"conv1d: pool {pool} < 1")
+    if length + 2 * padding - kernel + 1 < pool:
+        raise ShapeError(f"conv1d: output length {length + 2 * padding - kernel + 1} < pool {pool}")
+    return _conv(x, weight, padding, bias, pool, relu)
 
 
 def _tap_index(tap: np.ndarray, kernel: int, length: int) -> np.ndarray:
@@ -521,6 +582,25 @@ def _put(g: Tensor, tap: np.ndarray, kernel: int, shape: tuple) -> Tensor:
     return _make(data.transpose(0, 2, 1), "put", (g,), vjp)
 
 
+def _max_blocks(blocks: np.ndarray, tracked: bool):
+    """Each block's maximum, (B, m, C), of (B, m, K, C) blocks, and the tap
+    of its first maximum, as argmax picks it, when tracked (else None).
+
+    A strict > moves the pick only past a larger value: ties keep the
+    first. Taps are uint8 up to 256 and widen beyond.
+    """
+    kernel = blocks.shape[2]
+    value, tap = blocks[:, :, 0], None
+    for j in range(1, kernel):
+        if tracked:
+            later = blocks[:, :, j] > value
+            tap = later.view(np.uint8) if j == 1 else np.where(later, np.min_scalar_type(j).type(j), tap)
+        value = np.maximum(value, blocks[:, :, j])
+    if tracked and tap is None:  # kernel 1: every block's only entry
+        tap = np.zeros(value.shape, np.uint8)
+    return value, tap
+
+
 def maxpool1d(x: Tensor, kernel: int = 2) -> Tensor:
     """Non-overlapping max pool over the last axis; floor length (15 -> 7).
 
@@ -534,20 +614,10 @@ def maxpool1d(x: Tensor, kernel: int = 2) -> Tensor:
         raise ShapeError(f"maxpool1d: length {x.shape[-1]} < kernel {kernel}")
     batch, ch, length = x.shape
     m = length // kernel
-    # (B, m, K, C) view of the whole blocks, a view whatever x's memory layout
+    # (B, m, K, C) view of the whole blocks, a view whatever x's memory layout;
+    # the taps are kept only when a graph is recorded
     blocks = x.data.transpose(0, 2, 1)[:, : m * kernel].reshape(batch, m, kernel, ch)
-    # the tap of each block's first maximum is kept only when a graph is recorded
-    tracked = _grad_enabled and x.requires_grad
-    value, tap = blocks[:, :, 0], None
-    for j in range(1, kernel):
-        if tracked:
-            # a strict > moves the pick only past a larger value: ties keep the
-            # first; taps are uint8 up to 256 and widen beyond
-            later = blocks[:, :, j] > value
-            tap = later.view(np.uint8) if j == 1 else np.where(later, np.min_scalar_type(j).type(j), tap)
-        value = np.maximum(value, blocks[:, :, j])
-    if tracked and tap is None:  # kernel 1: every block's only entry
-        tap = np.zeros(value.shape, np.uint8)
+    value, tap = _max_blocks(blocks, _tracks((x,)))
     return _pick(x, tap, kernel, value.transpose(0, 2, 1))
 
 

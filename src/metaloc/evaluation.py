@@ -37,17 +37,20 @@ the caller adapts itself meanwhile (meta._meta_gradients). A batch
 inside a cell (a benchmark cell's meta-training or tb-maml's importance
 vector), or at one worker once BLAS is pinned, runs inline. Every
 process computes at one BLAS thread, so results do not depend on the
-worker count. A spawned worker imports the caller's main module, so a
-script that calls an experiment, run_plans, meta.compute_importance,
-meta.meta_train("tb-maml") without an importance vector or
-meta.meta_train("maml"|"fomaml") at more than 1 worker keeps that call
-under an `if __name__ == "__main__":` guard.
+worker count. A worker ends itself once the process that started it is
+gone, so a killed command leaves none behind. A spawned worker imports
+the caller's main module, so a script that calls an experiment,
+run_plans, meta.compute_importance, meta.meta_train("tb-maml") without
+an importance vector or meta.meta_train("maml"|"fomaml") at more than 1
+worker keeps that call under an `if __name__ == "__main__":` guard.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -176,6 +179,25 @@ def worker_count() -> int:
 _pool = None  # (workers, ProcessPoolExecutor) shared by every experiment in this process
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: a daemon thread ends this worker once the process
+    that started it is gone, as after a SIGKILL or SIGTERM of the command.
+
+    An orphaned worker is re-parented, so os.getppid() changes; without
+    this thread it would wait on the executor's call queue for ever. The
+    parent's pid is the one the parent recorded, so a parent that died
+    before this ran is noticed too.
+    """
+    parent = multiprocessing.parent_process().pid
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
 def _map_cells(fn, cells, workers: int):
     """Iterator of fn over cells, order preserved, from this process's pool
     of `workers` spawned workers; every cell is submitted before it returns.
@@ -191,7 +213,7 @@ def _map_cells(fn, cells, workers: int):
         _close_pool()
     if _pool is None:
         context = multiprocessing.get_context("spawn")
-        _pool = (workers, ProcessPoolExecutor(workers, mp_context=context))
+        _pool = (workers, ProcessPoolExecutor(workers, mp_context=context, initializer=_exit_with_parent))
     results = _pooled(fn, cells)
     next(results)  # runs to its first yield: every cell is submitted
     return results

@@ -7,10 +7,12 @@ subcarriers) to a 2-d position estimate in centimeters:
     -> relu -> flatten(105) -> 128 -> 64 -> 32 -> 8 (relu each) -> 2
 
 The final layer is linear (regression head). Loss is mean squared error
-over both coordinates, in cm^2. Each conv and dense layer, bias included,
-is one graph node. Each conv layer pools before its relu: relu and max
-commute exactly, so this is the conv -> relu -> pool network of the paper,
-with the same values and gradients, on half the relu entries.
+over both coordinates, in cm^2. Each conv and dense layer is one graph
+node, bias, pooling and relu included, which keeps only the layer's output
+(predict_positions runs the same layers without a graph). Each conv layer
+pools before its relu: relu and max commute exactly, so this is the conv
+-> relu -> pool network of the paper, with the same values and gradients,
+on half the relu entries.
 
 A model's parameters are a plain dict of name -> Tensor. Its order is the
 order of every gradient list and every update: the model's own dicts
@@ -33,10 +35,8 @@ from .autodiff import (
     conv1d,
     flatten,
     matmul,
-    maxpool1d,
     mse,
     no_grad,
-    relu,
     scale,
     sub,
 )
@@ -116,13 +116,11 @@ def predict(params: dict, x) -> Tensor:
         )
 
     # pool before relu: the same values and gradients as relu before pool
-    h = conv1d(arr, params["conv1.weight"], params["conv1.bias"], padding=1)
-    h = relu(maxpool1d(h, 2))  # (B, 10, 15)
-    h = conv1d(h, params["conv2.weight"], params["conv2.bias"], padding=1)
-    h = relu(maxpool1d(h, 2))  # (B, 15, 7)
+    h = conv1d(arr, params["conv1.weight"], params["conv1.bias"], padding=1, pool=2, relu=True)  # (B, 10, 15)
+    h = conv1d(h, params["conv2.weight"], params["conv2.bias"], padding=1, pool=2, relu=True)  # (B, 15, 7)
     h = flatten(h)  # (B, 105)
     for layer in ("dense1", "dense2", "dense3", "dense4"):
-        h = relu(matmul(h, params[f"{layer}.weight"], params[f"{layer}.bias"]))
+        h = matmul(h, params[f"{layer}.weight"], params[f"{layer}.bias"], relu=True)
     return matmul(h, params["dense5.weight"], params["dense5.bias"])
 
 

@@ -101,6 +101,10 @@ def test_shape_errors_name_op_and_extents():
         ad.conv1d(ad.Tensor(rand((1, 3, 2))), ad.Tensor(rand((4, 3, 5))), padding=1)
     with pytest.raises(ad.ShapeError, match="conv1d: kernel 0 < 1"):
         ad.conv1d(ad.Tensor(rand((1, 3, 5))), ad.Tensor(np.zeros((4, 3, 0))))
+    with pytest.raises(ad.ShapeError, match="conv1d: pool 0 < 1"):
+        ad.conv1d(ad.Tensor(rand((1, 3, 5))), ad.Tensor(rand((4, 3, 3))), pool=0)
+    with pytest.raises(ad.ShapeError, match="conv1d: output length 3 < pool 4"):
+        ad.conv1d(ad.Tensor(rand((1, 3, 5))), ad.Tensor(rand((4, 3, 3))), padding=0, pool=4)
     with pytest.raises(ad.ShapeError, match="mse"):
         ad.mse(ad.Tensor(rand((2, 2))), ad.Tensor(rand((3, 2))))
     # only add broadcasts (a bias); sub and mul need equal shapes
@@ -455,23 +459,42 @@ def quadratic_form_gradients(op, inputs, seed):
     return [y.data] + [g.data for g in grads] + [g.data for g in ad.grad(total, ts)]
 
 
+def uniform_inputs(*shapes):
+    rng = np.random.default_rng(61)
+    return [rng.uniform(-1, 1, shape) for shape in shapes]
+
+
+def integer_inputs(*shapes):
+    # an integer conv gives exact pooling ties, zero blocks and all-negative blocks
+    rng = np.random.default_rng(61)
+    return [rng.integers(-2, 3, shape).astype(float) for shape in shapes]
+
+
 @pytest.mark.parametrize(
-    "shapes, fused, composed",
+    "inputs, fused, composed",
     [
-        ([(5, 4), (4, 3), (3,)], ad.matmul, lambda a, w, b: ad.add(ad.matmul(a, w), b)),
+        (uniform_inputs((5, 4), (4, 3), (3,)), ad.matmul, lambda a, w, b: ad.add(ad.matmul(a, w), b)),
         (
-            [(2, 3, 7), (4, 3, 3), (4,)],
+            uniform_inputs((2, 3, 7), (4, 3, 3), (4,)),
             lambda x, w, b: ad.conv1d(x, w, b, padding=1),
             lambda x, w, b: ad.add(ad.conv1d(x, w, padding=1), ad.reshape(b, (1, 4, 1))),
         ),
+        (
+            uniform_inputs((5, 4), (4, 3), (3,)),
+            lambda a, w, b: ad.matmul(a, w, b, relu=True),
+            lambda a, w, b: ad.relu(ad.add(ad.matmul(a, w), b)),
+        ),
+        (
+            integer_inputs((3, 3, 9), (4, 3, 3), (4,)),
+            lambda x, w, b: ad.conv1d(x, w, b, padding=1, pool=2, relu=True),
+            lambda x, w, b: ad.relu(ad.maxpool1d(ad.add(ad.conv1d(x, w, padding=1), ad.reshape(b, (1, 4, 1))), 2)),
+        ),
     ],
-    ids=["matmul", "conv1d"],
+    ids=["matmul", "conv1d", "dense_relu", "conv_pool_relu"],
 )
-def test_biased_layer_is_one_node_and_bitwise_the_bias_add(shapes, fused, composed):
-    # the bias added inside the layer's node: the same values and first- and
-    # second-order gradients as the layer followed by an add node
-    rng = np.random.default_rng(61)
-    inputs = [rng.uniform(-1, 1, shape) for shape in shapes]
+def test_biased_layer_is_one_node_and_bitwise_the_bias_add(inputs, fused, composed):
+    # the bias, the pool and relu applied inside the layer's node: the same
+    # values and first- and second-order gradients as the public ops in turn
     y = fused(*[ad.Tensor(a, requires_grad=True) for a in inputs])
     assert [t.node.op for t in ad.toposort(y) if t.node is not None] == [y.node.op]
     got, expected = quadratic_form_gradients(fused, inputs, 7), quadratic_form_gradients(composed, inputs, 7)

@@ -768,6 +768,36 @@ def test_module_entry_point_runs_importance_in_pool(tmp_path):
     assert _live_group_members(proc.pid) == {}
 
 
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["sigterm", "sigkill"])
+def test_killed_command_leaves_no_worker(tmp_path, signum):
+    # only the parent is signalled, as `kill` or a scheduler's timeout does
+    # it; its pool workers and the resource tracker must follow it out
+    data = gen(tmp_path)
+    env = dict(os.environ, METALOC_THREADS="2", PYTHONPATH=str(SRC))
+    # the later --importance-epochs wins: the command is still busy when killed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "metaloc.cli", "importance", "--data", str(data), "--k", "1",
+         "--out", str(tmp_path / "importance.json")] + FAST_FLAGS + ["--importance-epochs", "100000"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not any(b"--multiprocessing-fork" in c for c in _live_group_members(proc.pid).values()):
+            assert proc.poll() is None and time.monotonic() < deadline, "no pool worker was spawned"
+            time.sleep(0.01)
+        proc.send_signal(signum)
+        assert proc.wait(timeout=10) == -signum
+        deadline = time.monotonic() + 10
+        while _live_group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _live_group_members(proc.pid) == {}
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
 def _refuse_pool(*args, **kwargs):
     raise AssertionError("a one-worker command started a pool")
 

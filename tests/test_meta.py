@@ -612,9 +612,9 @@ def test_meta_gradient_peak_memory_is_one_task(second_order):
 
 
 def test_second_order_task_gradient_peak_memory():
-    # one node per layer, bias included, and pooling before relu keep a
-    # default second-order task near 25 MB; separate bias adds and relu
-    # before each pool take it to 35.0 MB
+    # one node per layer, bias, pool and relu included, keeps a default
+    # second-order task near 19.3 MB; a node each for the pool and the relu
+    # takes it to 24.8 MB, and a bias add node each too to 35.0 MB
     cfg = MetaConfig()
     task = meta.build_task_data(tasks.generate_scenario(2305), cfg.shots, 0)
     arrays = {name: t.data for name, t in model.init_params(0).items()}
@@ -624,7 +624,36 @@ def test_second_order_task_gradient_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30e6
+    assert peak < 22e6
+
+
+def test_full_scenario_fit_peak_memory():
+    # a 5-epoch Adam fit on a 480-row scenario, as compute_importance runs
+    # them, peaks near 11.2 MB with one node per layer; keeping each conv
+    # output, its pooled copy and each dense pre-activation takes it to 19.0 MB
+    batch = tasks.batch_from(tasks.generate_scenario(2305).samples)
+    assert len(batch[1]) == 480
+    params = model.init_params(0)
+    tracemalloc.start()
+    try:
+        meta.fit_params(params, batch, 5, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14e6
+
+
+def test_second_order_task_builds_each_im2col_once():
+    # 12 forward convs (5 inner steps and the query, 2 convs each) and one
+    # for each of conv2's 5 input-adjoint rules, which its own conv and
+    # weight adjoint share; the conv weight adjoints reuse their conv's
+    # rows. Rebuilding them took 32 calls.
+    cfg = MetaConfig()
+    task = meta.build_task_data(tasks.generate_scenario(2305), cfg.shots, 0)
+    arrays = {name: t.data for name, t in model.init_params(0).items()}
+    with mock.patch.object(ad, "_im2col", wraps=ad._im2col) as spy:
+        meta._task_gradient((arrays, task, cfg, True, meta._default_loss))
+    assert spy.call_count == 17
 
 
 # ---------------------------------------------------------------------------
