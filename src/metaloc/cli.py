@@ -13,7 +13,9 @@ parser: `seeded` (--seed, --out) serves every command, `on_data` adds
 A subparser declares only its own flags. No command writes to its parsed
 arguments.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure,
+130 interrupted: a Ctrl-C prints one line, and the pool's workers, which
+ignore SIGINT, are terminated.
 `metaloc bench` leaves the checks of its experiments, the --algos names
 among them, to the evaluation plans and reports a plan's ValueError as a
 usage error (exit 2); any other ValueError, such as a library rule on the
@@ -52,6 +54,7 @@ from .tasks import (
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class UsageError(Exception):
@@ -231,6 +234,7 @@ def cmd_train(args) -> int:
     resolved.update({"algorithm": args.algo, "data": str(args.data)})
 
     if args.algo in meta.META_ALGORITHMS:
+        meta._check_meta_train(args.algo, scenarios, cfg)  # before any importance row runs
         importance = None
         if args.algo == "tb-maml":
             if args.importance:
@@ -465,7 +469,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # the engine's finite checks report a non-finite value, once, as a
+        # NumericError; numpy's warnings would repeat it as source lines
+        with np.errstate(all="ignore"):
+            return args.fn(args)
+    except KeyboardInterrupt:
+        evaluation._kill_pool()  # its workers ignore SIGINT and would finish their cells first
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except UsageError as e:
         parser.error(str(e))
     except DataFormatError as e:

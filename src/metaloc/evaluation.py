@@ -33,13 +33,16 @@ Cells run in one pool of METALOC_THREADS spawned workers that starts on
 first use and serves every later batch. Three kinds of batch use it: the
 experiment cells (run_plans), the rows of meta.compute_importance, and
 the distinct tasks but the first of a MAML or FOMAML meta-batch, which
-the caller adapts itself meanwhile (meta._meta_gradients). A batch
-inside a cell (a benchmark cell's meta-training or tb-maml's importance
-vector), or at one worker once BLAS is pinned, runs inline. Every
-process computes at one BLAS thread, so results do not depend on the
-worker count. A worker ends itself once the process that started it is
-gone, so a killed command leaves none behind. A spawned worker imports
-the caller's main module, so a script that calls an experiment,
+the caller adapts itself meanwhile (meta._meta_gradients). An importance
+row is sent the scenarios and builds its own batch and splits where it
+runs, so the caller holds none of them. A batch inside a cell (a
+benchmark cell's meta-training or tb-maml's importance vector), or at
+one worker once BLAS is pinned, runs inline. Every process computes at
+one BLAS thread, so results do not depend on the worker count. A worker
+ignores SIGINT and numpy's floating-point warnings, and ends itself once
+the process that started it is gone, so a killed command leaves none
+behind; on a Ctrl-C, cli.main terminates the workers. A spawned worker
+imports the caller's main module, so a script that calls an experiment,
 run_plans, meta.compute_importance, meta.meta_train("tb-maml") without
 an importance vector or meta.meta_train("maml"|"fomaml") at more than 1
 worker keeps that call under an `if __name__ == "__main__":` guard.
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -179,15 +183,22 @@ def worker_count() -> int:
 _pool = None  # (workers, ProcessPoolExecutor) shared by every experiment in this process
 
 
-def _exit_with_parent() -> None:
-    """Pool initializer: a daemon thread ends this worker once the process
-    that started it is gone, as after a SIGKILL or SIGTERM of the command.
+def _init_worker() -> None:
+    """Pool initializer. The worker ignores SIGINT, so a Ctrl-C, which
+    signals the whole process group, leaves the command's own process to
+    report it (cli.main) and prints no traceback per worker. numpy's
+    floating-point warnings are off, because the engine's finite checks
+    report a non-finite value once, as a NumericError. A daemon thread
+    ends the worker once the process that started it is gone, as after a
+    SIGKILL or SIGTERM of the command.
 
     An orphaned worker is re-parented, so os.getppid() changes; without
-    this thread it would wait on the executor's call queue for ever. The
+    that thread it would wait on the executor's call queue for ever. The
     parent's pid is the one the parent recorded, so a parent that died
     before this ran is noticed too.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    np.seterr(all="ignore")
     parent = multiprocessing.parent_process().pid
 
     def watch():
@@ -213,7 +224,7 @@ def _map_cells(fn, cells, workers: int):
         _close_pool()
     if _pool is None:
         context = multiprocessing.get_context("spawn")
-        _pool = (workers, ProcessPoolExecutor(workers, mp_context=context, initializer=_exit_with_parent))
+        _pool = (workers, ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker))
     results = _pooled(fn, cells)
     next(results)  # runs to its first yield: every cell is submitted
     return results
@@ -252,6 +263,20 @@ def _close_pool() -> None:
     global _pool
     if _pool is not None:
         _pool[1].shutdown()
+        _pool = None
+
+
+def _kill_pool() -> None:
+    """Drop this process's pool at once: cancel the cells not started and
+    terminate the workers, which would otherwise finish the cells they
+    run before the process could exit."""
+    global _pool
+    if _pool is not None:
+        executor = _pool[1]
+        workers = list(executor._processes.values())  # shutdown(wait=False) forgets them
+        executor.shutdown(wait=False, cancel_futures=True)
+        for worker in workers:
+            worker.terminate()
         _pool = None
 
 

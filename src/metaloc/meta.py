@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -233,7 +233,7 @@ def fit_params(params: dict, batch, epochs: int, lr: float) -> dict:
 
 
 def cross_transfer(
-    init_seed: int, source, targets: Sequence[TaskData],
+    init_seed: int, source, targets: Iterable[TaskData],
     source_epochs: int, finetune_epochs: int, lr: float, score: Callable,
 ) -> list:
     """Fit a fresh model on a source batch, then per target fine-tune and score.
@@ -242,10 +242,15 @@ def cross_transfer(
     (X, Y) batch for source_epochs; at 0 source epochs `source` is never
     read and may be None. For each target a copy is fine-tuned on the
     target's support for finetune_epochs, and score(params, target) is
-    returned, in target order.
+    returned, in target order. targets is read once, in order, so a
+    generator may build each target as it is reached.
     """
     base = fit_params(init_params(init_seed), source, source_epochs, lr)
-    return [score(fit_params(base, t.support, finetune_epochs, lr), t) for t in targets]
+    scores = []
+    for target in targets:
+        scores.append(score(fit_params(base, target.support, finetune_epochs, lr), target))
+        del target  # so a generator builds the next target where this one was
+    return scores
 
 
 def pick_transfer_source(candidates: Sequence[Scenario], seed: int) -> Scenario:
@@ -351,11 +356,19 @@ def _query_loss(params: dict, task: TaskData) -> float:
         return model_loss(params, task.query).item()
 
 
-def _importance_row(args) -> list:
-    """Row i of the importance loss matrix, without its diagonal entry."""
-    cfg, i, source, targets = args
+def _importance_row(cell) -> list:
+    """Row i of the importance loss matrix, without its diagonal entry.
+
+    cell is (cfg, i, scenarios), with scenarios the caller's list, shared
+    by every row. The row builds task i's full-scenario batch and, one at
+    a time as cross_transfer reaches them, the other tasks' few-shot
+    splits, so a split dies once it is scored. The same code runs in a
+    pool worker and inline.
+    """
+    cfg, i, scenarios = cell
+    targets = (build_task_data(s, cfg.shots, cfg.seed) for j, s in enumerate(scenarios) if j != i)
     return cross_transfer(
-        substream_int(cfg.seed, "importance-init", i), source, targets,
+        substream_int(cfg.seed, "importance-init", i), batch_from(scenarios[i].samples), targets,
         cfg.importance_epochs, cfg.inner_steps, cfg.baseline_lr, _query_loss,
     )
 
@@ -368,29 +381,24 @@ def compute_importance(scenarios: Sequence[Scenario], cfg: MetaConfig) -> Import
     k-shot support and evaluate on task j's query. Tasks whose models
     transfer well (low average loss) get importance near +1.
 
-    Each row i is one experiment cell (evaluation._run_cells), so a script
-    that calls this, meta_train("tb-maml") without an importance vector,
-    or meta_train("maml"|"fomaml") at more than 1 worker keeps the call
-    under an `if __name__ == "__main__":` guard.
+    Each row i is one experiment cell (evaluation._run_cells), (cfg, i,
+    scenarios), which builds its own batch and splits (_importance_row):
+    this function builds none, and a row's batches die with the row. The
+    n rows build n(n-1) splits, against n if they were built here once.
+    A script that calls this, meta_train("tb-maml") without an importance
+    vector, or meta_train("maml"|"fomaml") at more than 1 worker keeps
+    the call under an `if __name__ == "__main__":` guard.
     """
     from . import evaluation  # evaluation imports this module
 
     n = len(scenarios)
     if n < 2:
         raise ValueError(f"importance needs at least 2 training tasks, got {n}")
-    splits = [build_task_data(s, cfg.shots, cfg.seed) for s in scenarios]
-    others = [[j for j in range(n) if j != i] for i in range(n)]
-    rows = evaluation._run_cells(
-        _importance_row,
-        [
-            (cfg, i, batch_from(scenario.samples), [splits[j] for j in others[i]])
-            for i, scenario in enumerate(scenarios)
-        ],
-        evaluation.worker_count(),
-    )
+    cells = [(cfg, i, scenarios) for i in range(n)]
+    rows = evaluation._run_cells(_importance_row, cells, evaluation.worker_count())
     matrix = np.full((n, n), np.nan)
     for i, row in enumerate(rows):
-        matrix[i, others[i]] = row
+        matrix[i, [j for j in range(n) if j != i]] = row
     average = np.nanmean(matrix, axis=1)
     return ImportanceVector(
         values=importance_from_losses(average),
@@ -398,6 +406,25 @@ def compute_importance(scenarios: Sequence[Scenario], cfg: MetaConfig) -> Import
         loss_matrix=matrix,
         task_ids=[s.id for s in scenarios],
     )
+
+
+def _check_meta_train(
+    algorithm: str, scenarios: Sequence[Scenario], cfg: MetaConfig,
+    importance: Optional[ImportanceVector] = None,
+) -> None:
+    """meta_train's checks of its arguments, which need no computation; a
+    caller that computes an importance vector for meta_train runs them first."""
+    if algorithm not in META_ALGORITHMS:
+        raise ValueError(f"unknown meta algorithm {algorithm!r}; expected {META_ALGORITHMS}")
+    if not scenarios:
+        raise ValueError("meta_train: empty meta-training set")
+    if cfg.shots < 1:
+        raise ValueError(
+            f"meta_train needs shots >= 1: the inner adaptation fits each task's "
+            f"support set, which is empty at shots={cfg.shots}"
+        )
+    if algorithm != "tb-maml" and importance is not None:
+        raise ValueError(f"{algorithm} takes no importance vector; only tb-maml biases its steps by one")
 
 
 def meta_train(
@@ -438,18 +465,8 @@ def meta_train(
     task, one task at a time, in the caller. `importance` is for tb-maml
     only; MAML and FOMAML reject one.
     """
-    if algorithm not in META_ALGORITHMS:
-        raise ValueError(f"unknown meta algorithm {algorithm!r}; expected {META_ALGORITHMS}")
     scenarios = list(scenarios)
-    if not scenarios:
-        raise ValueError("meta_train: empty meta-training set")
-    if cfg.shots < 1:
-        raise ValueError(
-            f"meta_train needs shots >= 1: the inner adaptation fits each task's "
-            f"support set, which is empty at shots={cfg.shots}"
-        )
-    if algorithm != "tb-maml" and importance is not None:
-        raise ValueError(f"{algorithm} takes no importance vector; only tb-maml biases its steps by one")
+    _check_meta_train(algorithm, scenarios, cfg, importance)
     tasks = [build_task_data(s, cfg.shots, cfg.seed) for s in scenarios]
 
     if algorithm == "tb-maml":

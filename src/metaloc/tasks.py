@@ -227,21 +227,32 @@ def normalize(amp: np.ndarray) -> np.ndarray:
 
 
 def split_task(scenario: Scenario, k: int, seed: int) -> tuple:
-    """(support, query) records: k seeded picks per reference point, and the rest."""
+    """(support, query) records: k seeded picks per reference point, and the rest.
+
+    Reference points go in ascending order, each one's samples in file
+    order; one permutation per point, drawn in that order, puts its first
+    k samples in the support. The picks are made on indices, so each side
+    reads the records once.
+    """
     if k < 0:
         raise ValueError(f"shot count must be >= 0, got {k}")
+    rps = scenario.samples["rp"]
+    by_rp = np.argsort(rps, kind="stable")
+    points, starts, counts = np.unique(rps[by_rp], return_index=True, return_counts=True)
+    short = counts <= k
+    if short.any():
+        first = short.argmax()
+        raise ValueError(
+            f"scenario {scenario.id}: reference point {points[first]} has {counts[first]} "
+            f"samples, needs more than k={k}"
+        )
     rng = np.random.default_rng(seed)
     support, query = [], []
-    for rp, group in scenario.samples_by_rp().items():
-        if len(group) <= k:
-            raise ValueError(
-                f"scenario {scenario.id}: reference point {rp} has {len(group)} "
-                f"samples, needs more than k={k}"
-            )
-        order = rng.permutation(len(group))
-        support.append(group[order[:k]])
-        query.append(group[order[k:]])
-    return np.concatenate(support), np.concatenate(query)
+    for start, count in zip(starts, counts):
+        order = by_rp[start : start + count][rng.permutation(count)]
+        support.append(order[:k])
+        query.append(order[k:])
+    return scenario.samples[np.concatenate(support)], scenario.samples[np.concatenate(query)]
 
 
 def partition_tasks(scenarios: Sequence[Scenario], test_count: int, seed: int) -> tuple:

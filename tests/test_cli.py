@@ -221,10 +221,23 @@ def test_train_meta_zero_shots_is_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: meta_train needs shots >= 1")
 
 
+def test_train_tb_maml_zero_shots_fails_before_any_importance_row(tmp_path, capsys, monkeypatch):
+    # meta_train's shot rule is checked before the importance vector that
+    # tb-maml would meta-train with is computed
+    data = gen(tmp_path)
+    monkeypatch.setattr(meta, "compute_importance", mock.Mock(side_effect=AssertionError("importance ran")))
+    rc = main(
+        ["train", "--algo", "tb-maml", "--data", str(data), "--k", "0", "--out", str(tmp_path / "o")]
+        + FAST_FLAGS
+    )
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: meta_train needs shots >= 1")
+
+
 @pytest.mark.parametrize(
     "algo, flags, code",
     [
-        ("tb-maml", ["--k", "0"], EXIT_DATA),  # after its importance vector is computed
+        ("tb-maml", ["--k", "0"], EXIT_DATA),  # before its importance vector is computed
         ("fomaml", ["--k", "0"], EXIT_DATA),
         ("maml", ["--k", "1", "--alpha", "1e300"], EXIT_NUMERIC),
     ],
@@ -796,6 +809,68 @@ def test_killed_command_leaves_no_worker(tmp_path, signum):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
+
+
+def _ignores_sigint(pid: int) -> bool:
+    """Has process pid set SIGINT to be ignored, as the pool's initializer does? From /proc."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False  # the process exited
+    (mask,) = [line.split()[1] for line in status.splitlines() if line.startswith("SigIgn:")]
+    return bool(int(mask, 16) >> (signal.SIGINT - 1) & 1)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_ctrl_c_prints_one_line_and_exits_130(tmp_path):
+    # a Ctrl-C signals the whole process group: the workers ignore it, and
+    # the command says so in one line, ends them and exits 128 + SIGINT
+    data = gen(tmp_path)
+    env = dict(os.environ, METALOC_THREADS="2", PYTHONPATH=str(SRC))
+    # the later --importance-epochs wins: the command is still busy when interrupted
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "metaloc.cli", "importance", "--data", str(data), "--k", "1",
+         "--out", str(tmp_path / "importance.json")] + FAST_FLAGS + ["--importance-epochs", "100000"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while True:  # until both workers have run the pool's initializer
+            members = _live_group_members(proc.pid)
+            workers = [pid for pid, cmdline in members.items() if b"--multiprocessing-fork" in cmdline]
+            if len(workers) == 2 and all(map(_ignores_sigint, workers)):
+                break
+            assert proc.poll() is None and time.monotonic() < deadline, "no pool worker started"
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, stderr = proc.communicate(timeout=10)
+        assert proc.returncode == 130
+        assert stderr.decode().splitlines() == ["interrupted"]
+        deadline = time.monotonic() + 10
+        while _live_group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _live_group_members(proc.pid) == {}
+        assert not (tmp_path / "importance.json").exists()
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+def test_numeric_failure_prints_one_line(tmp_path):
+    # the engine's finite checks report the failure; numpy prints no warning
+    # in the command's process or in the pool workers that adapt the rest of
+    # each meta-batch
+    data = gen(tmp_path)
+    env = dict(os.environ, METALOC_THREADS="2", PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "metaloc.cli", "train", "--algo", "maml", "--data", str(data), "--k", "1",
+         "--out", str(tmp_path / "o")] + FAST_FLAGS + ["--alpha", "1e300", "--batch", "3"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120,
+    )
+    assert proc.returncode == EXIT_NUMERIC
+    (line,) = proc.stderr.decode().splitlines()
+    assert line.startswith("numeric failure: ")
 
 
 def _refuse_pool(*args, **kwargs):

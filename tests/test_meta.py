@@ -289,6 +289,25 @@ def test_compute_importance_structure():
         meta.compute_importance(scenarios[:1], cfg)
 
 
+def test_compute_importance_caller_builds_no_row_batch(monkeypatch):
+    # a row builds its source batch and its targets' splits where it runs;
+    # the caller only pickles (cfg, i, scenarios) cells, and the executor's
+    # queue feeder holds at most two of them, which peaks near 2.2 times the
+    # scenarios' sample bytes. Built in the caller, every row's batch and
+    # split took it to about 4.1 times
+    monkeypatch.setenv("METALOC_THREADS", "2")
+    scenarios = [tasks.generate_scenario(40 + i) for i in range(4)]
+    cfg = quick_cfg(importance_epochs=1, inner_steps=1)
+    evaluation._run_cells(int, [0, 0], 2)  # the pool starts untraced
+    tracemalloc.start()
+    try:
+        meta.compute_importance(scenarios, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sum(s.samples.nbytes for s in scenarios)
+
+
 def test_pick_transfer_source_without_candidates_names_the_reason():
     with pytest.raises(ValueError, match="transfer needs at least 1 source scenario, got 0"):
         meta.pick_transfer_source([], seed=0)

@@ -193,6 +193,58 @@ def test_split_disjoint_and_exact_cardinality_randomized(spp, data, scenario_see
     assert np.array_equal(again[0], support) and np.array_equal(again[1], query)
 
 
+def _mask_split(scenario, k, seed) -> tuple:
+    """split_task as written before it picked by index: a boolean mask per
+    reference point, then a permutation of that point's records. The oracle
+    of test_split_task_equals_the_mask_split."""
+    if k < 0:
+        raise ValueError(f"shot count must be >= 0, got {k}")
+    rng = np.random.default_rng(seed)
+    rps = scenario.samples["rp"]
+    support, query = [], []
+    for rp in np.unique(rps):
+        group = scenario.samples[rps == rp]
+        if len(group) <= k:
+            raise ValueError(
+                f"scenario {scenario.id}: reference point {rp} has {len(group)} "
+                f"samples, needs more than k={k}"
+            )
+        order = rng.permutation(len(group))
+        support.append(group[order[:k]])
+        query.append(group[order[k:]])
+    return np.concatenate(support), np.concatenate(query)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spp=st.integers(2, 6),
+    k=st.integers(-1, 6),
+    scenario_seed=st.integers(0, 999),
+    split_seed=st.integers(0, 2**32 - 1),
+    order_seed=st.none() | st.integers(0, 2**32 - 1),
+    kept=st.floats(0.5, 1.0),
+)
+def test_split_task_equals_the_mask_split(spp, k, scenario_seed, split_seed, order_seed, kept):
+    # byte-equal records, or the same error, on any sample order and on
+    # reference points with unequal sample counts
+    scenario = tasks.generate_scenario(scenario_seed, small_config(samples_per_rp=spp))
+    if order_seed is not None:
+        rng = np.random.default_rng(order_seed)
+        rows = rng.permutation(len(scenario.samples))
+        rows = rows[rng.random(len(rows)) < kept]
+        scenario = tasks.Scenario(scenario.id, scenario.grid, scenario.samples[rows])
+    try:
+        expected = _mask_split(scenario, k, split_seed)
+    except ValueError as e:
+        with pytest.raises(ValueError) as raised:
+            tasks.split_task(scenario, k, split_seed)
+        assert str(raised.value) == str(e)
+        return
+    for got, want in zip(tasks.split_task(scenario, k, split_seed), expected):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_split_insufficient_samples():
     scenario = tasks.generate_scenario(11, small_config(samples_per_rp=3))
     with pytest.raises(ValueError, match="needs more than"):
